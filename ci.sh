@@ -19,8 +19,9 @@
 #                   byte-identity (run_faults stdout + run_all trace JSONL
 #                   vs golden fixtures), crash proptests with K tickets in
 #                   flight, and the pipeline bench vs BENCH_pipeline.json
-#   ./ci.sh scale   sharded-engine gate: shards=1 byte-identity (run_all
-#                   trace vs the same pinned sha256 as the pipeline gate),
+#   ./ci.sh scale   sharded-engine gate: shards=1 byte-identity (run_faults
+#                   stdout + run_all trace vs the same pinned goldens as
+#                   the pipeline gate),
 #                   one-shard router differential + per-shard trace oracle,
 #                   cross-shard crash proptest, campaign determinism across
 #                   worker counts, and run_scale vs BENCH_scale.json (the
@@ -34,18 +35,20 @@
 #                   trace oracle, the ablation depth trajectory vs
 #                   BENCH_queue.json (virtual-time figures, exact), and
 #                   the run_scale queue-on > queue-off throughput assert
-#   ./ci.sh chaos   device-health gate: health=off byte-identity (run_all
-#                   trace vs the same pinned sha256), the health-free and
-#                   device-death differential/property suites, and the
-#                   run_chaos campaign (SSD/HDD death, double death, crash
-#                   mid-rebuild, backpressure) with its output asserted
-#                   identical across worker counts
+#   ./ci.sh chaos   device-health gate: health=off byte-identity (run_faults
+#                   stdout + run_all trace vs the same pinned goldens), the
+#                   health-free and device-death differential/property
+#                   suites, and the run_chaos campaign (SSD/HDD death,
+#                   double death, crash mid-rebuild, backpressure) with its
+#                   output diffed against ci/golden/run_chaos.txt and
+#                   asserted identical across worker counts
 #   ./ci.sh scenarios  scenario-engine gate: scenario=off byte-identity
 #                   (run_all trace JSONL + run_faults stdout vs the same
 #                   pinned goldens), the replay-parser and arrival-process
 #                   property suites, the scenario-free differential, the
 #                   pinned golden MSR replay, the run_scenarios campaign
 #                   (replay grid, open-loop trace oracle, churn storm)
+#                   diffed against ci/golden/run_scenarios.txt and
 #                   asserted identical across worker counts, and the
 #                   burst-vs-closed trace_profile contrast (the open-loop
 #                   run must show queued time; the closed loop must not)
@@ -58,6 +61,27 @@ run_benches() {
     cargo bench -q -p icash-bench --bench codec
   CRITERION_JSON="$PWD/target/bench_controller_current.json" \
     cargo bench -q -p icash-bench --bench controller
+}
+
+# Default-build byte-identity under the env a gate sets (`ENV=VAL ...`):
+# run_faults stdout vs its golden, and the run_all trace JSONL (written to
+# target/run_all_trace_<tag>.jsonl) vs the pinned sha256 + line count.
+defaults_identical() {
+  local tag="$1"
+  shift
+  cargo build -q --release -p icash-bench
+  echo "==> $tag byte-identity: run_faults stdout vs golden"
+  env "$@" ./target/release/run_faults > "target/run_faults_$tag.txt"
+  diff "target/run_faults_$tag.txt" ci/golden/run_faults_depth1.txt
+  echo "==> $tag byte-identity: run_all trace JSONL vs pinned sha256"
+  local trace="target/run_all_trace_$tag.jsonl"
+  env "$@" ICASH_OPS=300 ICASH_THREADS=1 \
+    ./target/release/run_all "target/run_all_$tag.md" --trace "$trace" > /dev/null
+  {
+    sha256sum "$trace" | cut -d' ' -f1
+    wc -l < "$trace"
+  } > "target/run_all_trace_$tag.sha256"
+  diff "target/run_all_trace_$tag.sha256" ci/golden/run_all_trace_depth1.sha256
 }
 
 if [[ "${1:-}" == "faults" ]]; then
@@ -86,18 +110,7 @@ if [[ "${1:-}" == "pipeline" ]]; then
   cargo test -q -p icash --test pipeline
   echo "==> crash proptests with K tickets in flight (fault_recovery)"
   cargo test -q -p icash --test fault_recovery
-  echo "==> depth-1 byte-identity: run_faults stdout vs golden"
-  cargo build -q --release -p icash-bench
-  ./target/release/run_faults > target/run_faults_depth1.txt
-  diff target/run_faults_depth1.txt ci/golden/run_faults_depth1.txt
-  echo "==> depth-1 byte-identity: run_all trace JSONL vs pinned sha256"
-  ICASH_OPS=300 ICASH_THREADS=1 ./target/release/run_all target/run_all_depth1.md \
-    --trace target/run_all_trace_depth1.jsonl > /dev/null
-  {
-    sha256sum target/run_all_trace_depth1.jsonl | cut -d' ' -f1
-    wc -l < target/run_all_trace_depth1.jsonl
-  } > target/run_all_trace_depth1.sha256
-  diff target/run_all_trace_depth1.sha256 ci/golden/run_all_trace_depth1.sha256
+  defaults_identical depth1
   echo "==> pipeline bench: depth 1 vs 16 write cycle vs BENCH_pipeline.json"
   CRITERION_JSON="$PWD/target/bench_pipeline_current.json" \
     cargo bench -q -p icash-bench --bench pipeline
@@ -115,16 +128,7 @@ if [[ "${1:-}" == "scale" ]]; then
   cargo test -q -p icash --test fault_recovery cross_shard
   echo "==> campaign determinism: document independent of ICASH_THREADS"
   cargo test -q -p icash-bench --test scale_determinism
-  echo "==> shards=1 byte-identity: run_all trace JSONL vs pinned sha256"
-  cargo build -q --release -p icash-bench
-  ICASH_OPS=300 ICASH_THREADS=1 ICASH_SHARDS=1 \
-    ./target/release/run_all target/run_all_shards1.md \
-    --trace target/run_all_trace_shards1.jsonl > /dev/null
-  {
-    sha256sum target/run_all_trace_shards1.jsonl | cut -d' ' -f1
-    wc -l < target/run_all_trace_shards1.jsonl
-  } > target/run_all_trace_shards1.sha256
-  diff target/run_all_trace_shards1.sha256 ci/golden/run_all_trace_depth1.sha256
+  defaults_identical shards1 ICASH_SHARDS=1
   echo "==> run_scale campaign vs BENCH_scale.json"
   scale_env=(CRITERION_JSON="$PWD/target/bench_scale_current.json")
   if [[ "$(nproc)" -ge 8 ]]; then
@@ -145,18 +149,11 @@ if [[ "${1:-}" == "chaos" ]]; then
   cargo test -q -p icash --test health_free
   echo "==> device-death proptest: kill anywhere, rebuild, valid-or-typed reads"
   cargo test -q -p icash --test fault_recovery device_death
-  echo "==> health=off byte-identity: run_all trace JSONL vs pinned sha256"
-  cargo build -q --release -p icash-bench
-  ICASH_OPS=300 ICASH_THREADS=1 ICASH_HEALTH=0 \
-    ./target/release/run_all target/run_all_healthoff.md \
-    --trace target/run_all_trace_healthoff.jsonl > /dev/null
-  {
-    sha256sum target/run_all_trace_healthoff.jsonl | cut -d' ' -f1
-    wc -l < target/run_all_trace_healthoff.jsonl
-  } > target/run_all_trace_healthoff.sha256
-  diff target/run_all_trace_healthoff.sha256 ci/golden/run_all_trace_depth1.sha256
+  defaults_identical healthoff ICASH_HEALTH=0
   echo "==> chaos campaign (run_chaos): zero silent corruption under device death"
   ./target/release/run_chaos > target/run_chaos_a.txt
+  echo "==> chaos byte-identity: run_chaos stdout vs golden"
+  diff target/run_chaos_a.txt ci/golden/run_chaos.txt
   echo "==> chaos determinism: campaign output independent of ICASH_THREADS"
   ICASH_THREADS=7 ./target/release/run_chaos > target/run_chaos_b.txt
   diff target/run_chaos_a.txt target/run_chaos_b.txt
@@ -173,18 +170,7 @@ if [[ "${1:-}" == "queue" ]]; then
   echo "==> HDD position-model + scheduler unit/property suite"
   cargo test -q -p icash-storage hdd
   cargo test -q -p icash-storage queue
-  echo "==> queue=off byte-identity: run_faults stdout vs golden"
-  cargo build -q --release -p icash-bench
-  ./target/release/run_faults > target/run_faults_queueoff.txt
-  diff target/run_faults_queueoff.txt ci/golden/run_faults_depth1.txt
-  echo "==> queue=off byte-identity: run_all trace JSONL vs pinned sha256"
-  ICASH_OPS=300 ICASH_THREADS=1 ./target/release/run_all target/run_all_queueoff.md \
-    --trace target/run_all_trace_queueoff.jsonl > /dev/null
-  {
-    sha256sum target/run_all_trace_queueoff.jsonl | cut -d' ' -f1
-    wc -l < target/run_all_trace_queueoff.jsonl
-  } > target/run_all_trace_queueoff.sha256
-  diff target/run_all_trace_queueoff.sha256 ci/golden/run_all_trace_depth1.sha256
+  defaults_identical queueoff
   echo "==> ablation depth trajectory vs BENCH_queue.json (+ trend assert)"
   ICASH_OPS=8000 ICASH_QUEUE_TREND_ASSERT=1 \
     CRITERION_JSON="$PWD/target/bench_queue_current.json" \
@@ -214,20 +200,11 @@ if [[ "${1:-}" == "scenarios" ]]; then
   cargo test -q -p icash --test golden_replay
   echo "==> queue-latency histogram shard-merge property"
   cargo test -q -p icash-metrics --test prop_histogram
-  echo "==> scenario=off byte-identity: run_faults stdout vs golden"
-  cargo build -q --release -p icash-bench
-  ./target/release/run_faults > target/run_faults_scenoff.txt
-  diff target/run_faults_scenoff.txt ci/golden/run_faults_depth1.txt
-  echo "==> scenario=off byte-identity: run_all trace JSONL vs pinned sha256"
-  ICASH_OPS=300 ICASH_THREADS=1 ./target/release/run_all target/run_all_scenoff.md \
-    --trace target/run_all_trace_scenoff.jsonl > /dev/null
-  {
-    sha256sum target/run_all_trace_scenoff.jsonl | cut -d' ' -f1
-    wc -l < target/run_all_trace_scenoff.jsonl
-  } > target/run_all_trace_scenoff.sha256
-  diff target/run_all_trace_scenoff.sha256 ci/golden/run_all_trace_depth1.sha256
+  defaults_identical scenoff
   echo "==> scenario campaign (run_scenarios): replay grid + open-loop oracle + churn"
   ./target/release/run_scenarios > target/run_scenarios_a.txt
+  echo "==> scenario byte-identity: run_scenarios stdout vs golden"
+  diff target/run_scenarios_a.txt ci/golden/run_scenarios.txt
   echo "==> scenario determinism: campaign output independent of ICASH_THREADS"
   ICASH_THREADS=4 ./target/release/run_scenarios > target/run_scenarios_b.txt
   diff target/run_scenarios_a.txt target/run_scenarios_b.txt

@@ -28,14 +28,14 @@
 
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash_core::{Icash, IcashConfig};
-use icash_storage::block::{BlockBuf, Lba};
+use icash_storage::block::Lba;
 use icash_storage::cpu::CpuModel;
 use icash_storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
-use icash_storage::request::{Completion, IoErrorKind, Request};
+use icash_storage::request::IoErrorKind;
 use icash_storage::shard::ShardRouter;
 use icash_storage::system::{HealthReport, IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
-use std::collections::HashMap;
+use icash_workloads::history::{Accept, History};
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 1024;
@@ -57,18 +57,6 @@ const SHARDS: [u32; 2] = [1, 2];
 const DATA_BYTES: u64 = 8 << 20;
 const SSD_BYTES: u64 = 1 << 20;
 const RAM_BYTES: u64 = 256 << 10;
-
-/// The content of version `ver` of block `lba`: a shared base (so I-CASH
-/// forms references and deltas) plus a unique tag making any cross-version
-/// or cross-block splice detectable.
-fn version_content(lba: u64, ver: u32) -> BlockBuf {
-    let mut v = vec![0xC7u8; 4096];
-    let tag = fault_roll(lba, 0xCA05, ver as u64, 0);
-    v[..8].copy_from_slice(&tag.to_le_bytes());
-    v[100] = (lba % 251) as u8;
-    v[2000] = (ver % 251) as u8;
-    BlockBuf::from_vec(v)
-}
 
 fn base_policy() -> HealthPolicy {
     HealthPolicy::default()
@@ -114,208 +102,124 @@ fn build_router(
     ShardRouter::new(systems)
 }
 
-/// Rolling tallies for one cell, merged into the campaign totals.
-#[derive(Debug, Default)]
-struct CellResult {
-    reads: u64,
-    reported_errors: u64,
-    refused_writes: u64,
-    violations: Vec<String>,
-}
-
-/// Per-block content the history allows: every version the system ever
-/// acknowledged. Writes refused with a typed error do not advance it.
-#[derive(Debug, Default)]
-struct Model {
-    history: HashMap<u64, Vec<BlockBuf>>,
-    vers: HashMap<u64, u32>,
-}
-
-impl Model {
-    fn acceptable(&self, lba: u64) -> Vec<BlockBuf> {
-        self.history
-            .get(&lba)
-            .cloned()
-            .unwrap_or_else(|| vec![BlockBuf::zeroed()])
-    }
-
-    fn latest(&self, lba: u64) -> BlockBuf {
-        self.history
-            .get(&lba)
-            .and_then(|v| v.last().cloned())
-            .unwrap_or_else(BlockBuf::zeroed)
-    }
-}
-
-fn check_read(
-    name: &str,
-    lba: u64,
-    completion: &Completion,
-    acceptable: &[BlockBuf],
-    out: &mut CellResult,
-) {
-    out.reads += 1;
-    if completion.failed(Lba::new(lba)) {
-        out.reported_errors += 1;
-        return;
-    }
-    let got = &completion.data[0];
-    if !acceptable.iter().any(|want| want == got) {
-        out.violations.push(format!(
-            "{name}: lba {lba} returned bytes matching none of the {} acceptable versions",
-            acceptable.len()
-        ));
-    }
-}
-
-/// Issues one mixed op (3:2 write:read) and folds it into the model. The
-/// oracle here is the permissive one — any acknowledged version — because
-/// these ops run across device deaths where reads may legally serve older
-/// hardened copies. A refused write (typed error) leaves the model as-is.
-#[allow(clippy::too_many_arguments)]
-fn mixed_op(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
+/// One cell's traffic source: its seeded op counter, virtual clock, CPU
+/// model and write history. Every block version carries a `0xC7` body
+/// (so I-CASH forms references and deltas) plus a unique tag making any
+/// cross-version or cross-block splice detectable.
+struct Client {
+    h: History,
+    cpu: CpuModel,
     seed: u64,
     op: u64,
     t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    let roll = fault_roll(seed, 0xC405, op, 0);
-    let lba = roll % SPACE;
-    if roll % 5 < 3 {
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, ctx);
-        if c.failed(Lba::new(lba)) {
-            out.refused_writes += 1;
-        } else {
-            model
-                .history
-                .entry(lba)
-                .or_insert_with(|| vec![BlockBuf::zeroed()])
-                .push(content);
-        }
-        c.finished
-    } else {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, ctx);
-        check_read(name, lba, &c, &model.acceptable(lba), out);
-        c.finished
-    }
 }
 
-/// Drives mixed traffic until `done` holds for **every shard's** health
-/// report (the merged report takes the worst shard, which would declare an
-/// array-wide state after a single shard reached it), bounded by
-/// [`WAIT_OPS`]; pushes a violation if the bound hits.
-#[allow(clippy::too_many_arguments)]
-fn drive_until(
-    name: &str,
-    what: &str,
-    sys: &mut ShardRouter<Icash>,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
-    seed: u64,
-    op_base: u64,
-    mut t: Ns,
-    out: &mut CellResult,
-    done: impl Fn(&HealthReport) -> bool,
-) -> (Ns, u64) {
-    for op in 0..WAIT_OPS {
-        let reached = sys.shards().iter().all(|shard| {
-            let health = shard
-                .report(Ns::from_ms(1))
-                .health
-                .expect("health cells always report");
-            done(&health)
-        });
-        if reached {
-            return (t, op_base + op);
+impl Client {
+    fn new(seed: u64) -> Self {
+        Client {
+            h: History::stamped(0xC7, 0xCA05),
+            cpu: CpuModel::xeon(),
+            seed,
+            op: 0,
+            t: Ns::ZERO,
         }
-        t = mixed_op(name, sys, ctx, model, seed, op_base + op, t, out);
     }
-    out.violations
-        .push(format!("{name}: {what} not reached within {WAIT_OPS} ops"));
-    (t, op_base + WAIT_OPS)
+
+    /// Issues the next mixed op (3:2 write:read). The oracle here is the
+    /// permissive one — any acknowledged version — because these ops run
+    /// across device deaths where reads may legally serve older hardened
+    /// copies. A refused write (typed error) leaves the history's
+    /// acknowledged set as-is.
+    fn mixed(&mut self, sys: &mut dyn StorageSystem) {
+        let roll = fault_roll(self.seed, 0xC405, self.op, 0);
+        let lba = roll % SPACE;
+        let mut ctx = IoCtx::verifying(&ZeroSource, &mut self.cpu);
+        let c = if roll % 5 < 3 {
+            self.h.write(sys, &mut ctx, lba, self.t)
+        } else {
+            self.h
+                .read(sys, &mut ctx, lba, self.t, Accept::Acknowledged)
+        };
+        self.t = c.finished;
+        self.op += 1;
+    }
+
+    /// Drives mixed traffic until `done` holds for **every shard's** health
+    /// report (the merged report takes the worst shard, which would
+    /// declare an array-wide state after a single shard reached it),
+    /// bounded by [`WAIT_OPS`]; records a violation if the bound hits.
+    fn drive_until(
+        &mut self,
+        sys: &mut ShardRouter<Icash>,
+        what: &str,
+        done: impl Fn(&HealthReport) -> bool,
+    ) {
+        for _ in 0..WAIT_OPS {
+            let reached = sys.shards().iter().all(|shard| {
+                let health = shard
+                    .report(Ns::from_ms(1))
+                    .health
+                    .expect("health cells always report");
+                done(&health)
+            });
+            if reached {
+                return;
+            }
+            self.mixed(sys);
+        }
+        self.h
+            .violations
+            .push(format!("{what} not reached within {WAIT_OPS} ops"));
+    }
+
+    /// Post-incident service check: fresh writes must be acknowledged and
+    /// read back exactly (the strict oracle — the array claims to be
+    /// healthy again).
+    fn fresh_service(&mut self, sys: &mut dyn StorageSystem) {
+        for op in 0..50u64 {
+            let lba = fault_roll(self.seed, 0xF4E5, op, 0) % SPACE;
+            let mut ctx = IoCtx::verifying(&ZeroSource, &mut self.cpu);
+            let c = self.h.write(sys, &mut ctx, lba, self.t);
+            if c.failed(Lba::new(lba)) {
+                self.h
+                    .violations
+                    .push(format!("post-incident write of lba {lba} refused"));
+                continue;
+            }
+            let at = self.t.max(c.finished);
+            self.t = self.h.read(sys, &mut ctx, lba, at, Accept::Latest).finished;
+        }
+    }
+
+    /// Final availability sweep, on its own clock from the current instant:
+    /// every block the history acknowledged must read as an acknowledged
+    /// version or a typed error; at least one read must actually return
+    /// data (an all-errors sweep is no availability at all).
+    fn final_sweep(&mut self, sys: &mut dyn StorageSystem) {
+        let mut ctx = IoCtx::verifying(&ZeroSource, &mut self.cpu);
+        let mut t = self.t;
+        let errors_before = self.h.reported_errors;
+        let reads_before = self.h.reads;
+        for lba in self.h.acknowledged() {
+            t = self
+                .h
+                .read(sys, &mut ctx, lba, t, Accept::Acknowledged)
+                .finished;
+        }
+        let swept = self.h.reads - reads_before;
+        let errored = self.h.reported_errors - errors_before;
+        if swept > 0 && errored == swept {
+            self.h
+                .violations
+                .push(format!("availability sweep served zero of {swept} reads"));
+        }
+    }
 }
 
 fn merged_health(sys: &ShardRouter<Icash>) -> HealthReport {
     sys.report(Ns::from_ms(1))
         .health
         .expect("health cells always report")
-}
-
-/// Post-incident service check: fresh writes must be acknowledged and read
-/// back exactly (the strict oracle — the array claims to be healthy again).
-fn check_fresh_service(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &mut Model,
-    seed: u64,
-    mut t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    for op in 0..50u64 {
-        let roll = fault_roll(seed, 0xF4E5, op, 0);
-        let lba = roll % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, ctx);
-        if c.failed(Lba::new(lba)) {
-            out.violations
-                .push(format!("{name}: post-incident write of lba {lba} refused"));
-            continue;
-        }
-        model
-            .history
-            .entry(lba)
-            .or_insert_with(|| vec![BlockBuf::zeroed()])
-            .push(content.clone());
-        let r = Request::read(Lba::new(lba), t.max(c.finished));
-        let c = sys.submit(&r, ctx);
-        t = c.finished;
-        check_read(name, lba, &c, std::slice::from_ref(&content), out);
-    }
-    t
-}
-
-/// Final availability sweep: every block the history touched must read as
-/// an acknowledged version or a typed error; at least one read must
-/// actually return data (an all-errors sweep is no availability at all).
-fn final_sweep(
-    name: &str,
-    sys: &mut dyn StorageSystem,
-    ctx: &mut IoCtx<'_>,
-    model: &Model,
-    mut t: Ns,
-    out: &mut CellResult,
-) -> Ns {
-    let mut touched: Vec<u64> = model.history.keys().copied().collect();
-    touched.sort_unstable();
-    let errors_before = out.reported_errors;
-    let reads_before = out.reads;
-    for lba in touched {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, ctx);
-        t = c.finished;
-        check_read(name, lba, &c, &model.acceptable(lba), out);
-    }
-    let swept = out.reads - reads_before;
-    let errored = out.reported_errors - errors_before;
-    if swept > 0 && errored == swept {
-        out.violations.push(format!(
-            "{name}: availability sweep served zero of {swept} reads"
-        ));
-    }
-    t
 }
 
 fn validate_shards(sys: &ShardRouter<Icash>) {
@@ -330,155 +234,86 @@ fn validate_shards(sys: &ShardRouter<Icash>) {
 
 /// SSD dies mid-run → degraded HDD-only service → `replace_ssd` → online
 /// rebuild under traffic → healthy again, fresh writes exact.
-fn cell_ssd_death(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("ssd-death/s{shards}");
+fn cell_ssd_death(seed: u64, shards: u32) -> (History, HealthReport) {
     let mut sys = build_router(icash_config(base_policy()), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
+    let mut c = Client::new(seed);
+    for _ in 0..WARM_OPS {
+        c.mixed(&mut sys);
     }
     // The armed device op count passes during the warm-up; keep driving
     // until every shard's monitor has walked to `Failed`.
-    let (mut t, mut op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
+    c.drive_until(&mut sys, "SSD Failed", |h| h.ssd == HealthState::Failed);
     // Degraded window: service continues HDD-only.
-    for i in 0..DEGRADED_OPS {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
+    for _ in 0..DEGRADED_OPS {
+        c.mixed(&mut sys);
     }
-    op += DEGRADED_OPS;
     for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
+        shard.replace_ssd(c.t);
     }
     // Rebuild rides the host I/O stream; drive until the array reports
     // Healthy again.
-    let (t, _) = drive_until(
-        &name,
-        "rebuild completion",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        op,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Healthy,
-    );
-    let t = check_fresh_service(&name, &mut sys, &mut ctx, &mut model, seed, t, &mut out);
-    final_sweep(&name, &mut sys, &mut ctx, &model, t, &mut out);
+    c.drive_until(&mut sys, "rebuild completion", |h| {
+        h.ssd == HealthState::Healthy
+    });
+    c.fresh_service(&mut sys);
+    c.final_sweep(&mut sys);
     validate_shards(&sys);
     let health = merged_health(&sys);
     if health.degraded_reads + health.degraded_writes == 0 {
-        out.violations
-            .push(format!("{name}: degraded service never engaged"));
+        c.h.violations
+            .push("degraded service never engaged".to_string());
     }
     if health.rebuild_chunks == 0 {
-        out.violations.push(format!("{name}: rebuild never ran"));
+        c.h.violations.push("rebuild never ran".to_string());
     }
-    (out, health)
+    (c.h, health)
 }
 
 /// HDD dies mid-run → writes fail fast with a typed `DeviceFailed` error
 /// while reads keep serving RAM/SSD-resident state or typed errors.
-fn cell_hdd_death(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("hdd-death/s{shards}");
+fn cell_hdd_death(seed: u64, shards: u32) -> (History, HealthReport) {
     let mut sys = build_router(icash_config(base_policy()), shards, |s| {
         FaultPlan::seeded(seed + s).hdd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
+    let mut c = Client::new(seed);
+    for _ in 0..WARM_OPS {
+        c.mixed(&mut sys);
     }
-    let (mut t, op) = drive_until(
-        &name,
-        "HDD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.hdd == HealthState::Failed,
-    );
+    c.drive_until(&mut sys, "HDD Failed", |h| h.hdd == HealthState::Failed);
+    let mut ctx = IoCtx::verifying(&ZeroSource, &mut c.cpu);
     // Fail-fast contract: every write is refused with DeviceFailed (the
     // whole array is down once every shard's spindle is).
     for i in 0..20u64 {
-        let roll = fault_roll(seed, 0xDEAD, i, 0);
-        let lba = roll % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, &mut ctx);
-        t = c.finished;
-        let typed = c
+        let lba = fault_roll(seed, 0xDEAD, i, 0) % SPACE;
+        let done = c.h.write(&mut sys, &mut ctx, lba, c.t);
+        c.t = done.finished;
+        if !done
             .errors
             .iter()
-            .any(|e| e.lba == Lba::new(lba) && e.kind == IoErrorKind::DeviceFailed);
-        if typed {
-            out.refused_writes += 1;
-        } else {
-            out.violations.push(format!(
-                "{name}: write to lba {lba} on a failed HDD was not refused with DeviceFailed"
+            .any(|e| e.lba == Lba::new(lba) && e.kind == IoErrorKind::DeviceFailed)
+        {
+            c.h.violations.push(format!(
+                "write to lba {lba} on a failed HDD was not refused with DeviceFailed"
             ));
-            if !c.failed(Lba::new(lba)) {
-                model
-                    .history
-                    .entry(lba)
-                    .or_insert_with(|| vec![BlockBuf::zeroed()])
-                    .push(content);
-            }
         }
     }
     // Reads during the outage: valid-or-typed-error.
     for i in 0..DEGRADED_OPS {
-        let roll = fault_roll(seed, 0x0D1E, op + i, 0);
-        let lba = roll % SPACE;
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(&name, lba, &c, &model.acceptable(lba), &mut out);
+        let lba = fault_roll(seed, 0x0D1E, c.op + i, 0) % SPACE;
+        c.t =
+            c.h.read(&mut sys, &mut ctx, lba, c.t, Accept::Acknowledged)
+                .finished;
     }
     validate_shards(&sys);
-    (out, merged_health(&sys))
+    (c.h, merged_health(&sys))
 }
 
 /// SSD death → replace → rebuild, with the HDD armed to die as the rebuild
 /// traffic runs: the rebuild's home-copy reads start failing and service
 /// must degrade further, never corrupt.
-fn cell_death_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("double-death/s{shards}");
+fn cell_death_during_rebuild(seed: u64, shards: u32) -> (History, HealthReport) {
     let mut policy = base_policy();
     // A slow rebuild stretches the window the second death lands in.
     policy.rebuild_rate = 1;
@@ -491,111 +326,50 @@ fn cell_death_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthRepor
             .ssd_dies_at(DEATH_OP)
             .hdd_dies_at(hdd_death)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
+    let mut c = Client::new(seed);
+    for _ in 0..WARM_OPS {
+        c.mixed(&mut sys);
     }
-    let (t, mut op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
+    c.drive_until(&mut sys, "SSD Failed", |h| h.ssd == HealthState::Failed);
     for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
+        shard.replace_ssd(c.t);
     }
     // Drive rebuild traffic until the armed HDD death lands on every
     // shard; the oracles hold across the compound failure.
-    let (mut t, op2) = drive_until(
-        &name,
-        "HDD Failed during rebuild",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        op,
-        t,
-        &mut out,
-        |h| h.hdd == HealthState::Failed,
-    );
-    op = op2;
-    for i in 0..DEGRADED_OPS {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
+    c.drive_until(&mut sys, "HDD Failed during rebuild", |h| {
+        h.hdd == HealthState::Failed
+    });
+    for _ in 0..DEGRADED_OPS {
+        c.mixed(&mut sys);
     }
     validate_shards(&sys);
     let health = merged_health(&sys);
     if health.rebuild_chunks == 0 {
-        out.violations.push(format!("{name}: rebuild never ran"));
+        c.h.violations.push("rebuild never ran".to_string());
     }
-    (out, health)
+    (c.h, health)
 }
 
 /// SSD death → replace → crash mid-rebuild → recovery: every block reads
 /// as an acknowledged version or a typed error, and post-recovery service
 /// is exact.
-fn cell_crash_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("crash-rebuild/s{shards}");
+fn cell_crash_during_rebuild(seed: u64, shards: u32) -> (History, HealthReport) {
     let mut policy = base_policy();
     policy.rebuild_rate = 1; // crash lands with work still pending
     let mut sys = build_router(icash_config(policy), shards, |s| {
         FaultPlan::seeded(seed + s).ssd_dies_at(DEATH_OP)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..WARM_OPS {
-        t = mixed_op(&name, &mut sys, &mut ctx, &mut model, seed, op, t, &mut out);
+    let mut c = Client::new(seed);
+    for _ in 0..WARM_OPS {
+        c.mixed(&mut sys);
     }
-    let (mut t, op) = drive_until(
-        &name,
-        "SSD Failed",
-        &mut sys,
-        &mut ctx,
-        &mut model,
-        seed,
-        WARM_OPS,
-        t,
-        &mut out,
-        |h| h.ssd == HealthState::Failed,
-    );
+    c.drive_until(&mut sys, "SSD Failed", |h| h.ssd == HealthState::Failed);
     for shard in sys.shards_mut() {
-        shard.replace_ssd(t);
+        shard.replace_ssd(c.t);
     }
     // A little rebuild traffic, then the plug is pulled mid-task.
-    for i in 0..30u64 {
-        t = mixed_op(
-            &name,
-            &mut sys,
-            &mut ctx,
-            &mut model,
-            seed,
-            op + i,
-            t,
-            &mut out,
-        );
+    for _ in 0..30u64 {
+        c.mixed(&mut sys);
     }
     let recovered: Vec<Icash> = sys
         .into_shards()
@@ -604,17 +378,15 @@ fn cell_crash_during_rebuild(seed: u64, shards: u32) -> (CellResult, HealthRepor
         .collect();
     let mut sys = ShardRouter::new(recovered);
     // Everything the history acknowledged must still read valid-or-typed.
-    final_sweep(&name, &mut sys, &mut ctx, &model, t, &mut out);
-    let t = check_fresh_service(&name, &mut sys, &mut ctx, &mut model, seed, t, &mut out);
-    let _ = t;
+    c.final_sweep(&mut sys);
+    c.fresh_service(&mut sys);
     validate_shards(&sys);
-    (out, merged_health(&sys))
+    (c.h, merged_health(&sys))
 }
 
 /// A tiny staging cap under a pure write burst: admission control must
 /// refuse with typed `Busy` errors (and never lose an acknowledged write).
-fn cell_backpressure(seed: u64, shards: u32) -> (CellResult, HealthReport) {
-    let name = format!("backpressure/s{shards}");
+fn cell_backpressure(seed: u64, shards: u32) -> (History, HealthReport) {
     let mut policy = base_policy();
     policy.staging_cap = 2 * shards as u64; // each shard polices cap/shards
                                             // A staging cap only bites when deltas actually sit in staging, which
@@ -623,67 +395,44 @@ fn cell_backpressure(seed: u64, shards: u32) -> (CellResult, HealthReport) {
     let mut sys = build_router(icash_config_depth(policy, 8), shards, |s| {
         FaultPlan::seeded(seed + s)
     });
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
+    let mut c = Client::new(seed);
+    let mut ctx = IoCtx::verifying(&ZeroSource, &mut c.cpu);
     let mut busy = 0u64;
     for op in 0..400u64 {
         let lba = fault_roll(seed, 0xB0B0, op, 0) % SPACE;
-        let ver = model.vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        let c = sys.submit(&w, &mut ctx);
-        t = c.finished;
-        if c.errors
+        let done = c.h.write(&mut sys, &mut ctx, lba, c.t);
+        c.t = done.finished;
+        if done
+            .errors
             .iter()
             .any(|e| e.lba == Lba::new(lba) && e.kind == IoErrorKind::Busy)
         {
             busy += 1;
-            out.refused_writes += 1;
-        } else if c.failed(Lba::new(lba)) {
-            out.violations.push(format!(
-                "{name}: fault-free write to lba {lba} failed with a non-Busy error"
+        } else if done.failed(Lba::new(lba)) {
+            c.h.violations.push(format!(
+                "fault-free write to lba {lba} failed with a non-Busy error"
             ));
-        } else {
-            model
-                .history
-                .entry(lba)
-                .or_insert_with(|| vec![BlockBuf::zeroed()])
-                .push(content);
         }
     }
     if busy == 0 {
-        out.violations
-            .push(format!("{name}: a 2-block staging cap never pushed back"));
+        c.h.violations
+            .push("a 2-block staging cap never pushed back".to_string());
     }
-    t = sys.flush(t, &mut ctx);
+    c.t = sys.flush(c.t, &mut ctx);
     // Every acknowledged write is readable; latest version exactly (no
     // faults were injected here).
-    let mut touched: Vec<u64> = model.history.keys().copied().collect();
-    touched.sort_unstable();
-    for lba in touched {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(
-            &name,
-            lba,
-            &c,
-            std::slice::from_ref(&model.latest(lba)),
-            &mut out,
-        );
+    for lba in c.h.acknowledged() {
+        c.t =
+            c.h.read(&mut sys, &mut ctx, lba, c.t, Accept::Latest)
+                .finished;
     }
     validate_shards(&sys);
-    (out, merged_health(&sys))
+    (c.h, merged_health(&sys))
 }
 
 /// A high-rate media-fault storm across all five architectures; I-CASH
 /// runs with health armed so the backoff machinery absorbs the noise.
-fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (CellResult, Option<HealthReport>) {
+fn cell_fault_storm(kind: usize, seed: u64) -> (History, Option<HealthReport>) {
     let rate = 1e-2;
     let plan = FaultPlan::seeded(seed)
         .hdd_read_errors(rate)
@@ -698,43 +447,30 @@ fn cell_fault_storm(kind: usize, name: &str, seed: u64) -> (CellResult, Option<H
             Box::new(Icash::new(icash_config(base_policy())).with_fault_plan(plan.scrub_every(97)))
         }
     };
-    let backing = ZeroSource;
-    let mut cpu = CpuModel::xeon();
-    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut model = Model::default();
-    let mut out = CellResult::default();
-    let mut t = Ns::ZERO;
-    for op in 0..300u64 {
-        t = mixed_op(
-            name,
-            sys.as_mut(),
-            &mut ctx,
-            &mut model,
-            seed,
-            op,
-            t,
-            &mut out,
-        );
+    let mut c = Client::new(seed);
+    for _ in 0..300u64 {
+        c.mixed(sys.as_mut());
     }
-    t = sys.flush(t, &mut ctx);
-    final_sweep(name, sys.as_mut(), &mut ctx, &model, t, &mut out);
-    (out, sys.report(Ns::from_ms(1)).health)
+    c.t = sys.flush(c.t, &mut IoCtx::verifying(&ZeroSource, &mut c.cpu));
+    c.final_sweep(sys.as_mut());
+    (c.h, sys.report(Ns::from_ms(1)).health)
 }
 
 fn main() {
     let mut cells = 0u64;
-    let mut totals = CellResult::default();
+    let (mut reads, mut reported, mut refused) = (0u64, 0u64, 0u64);
+    let mut violations: Vec<String> = Vec::new();
     let mut health = HealthReport::default();
-    let mut fold = |name: String, r: CellResult, h: Option<HealthReport>| {
+    let mut fold = |name: String, r: History, h: Option<HealthReport>| {
         println!(
             "cell {name}: {} reads, {} typed errors, {} refused writes",
             r.reads, r.reported_errors, r.refused_writes
         );
         cells += 1;
-        totals.reads += r.reads;
-        totals.reported_errors += r.reported_errors;
-        totals.refused_writes += r.refused_writes;
-        totals.violations.extend(r.violations);
+        reads += r.reads;
+        reported += r.reported_errors;
+        refused += r.refused_writes;
+        violations.extend(r.violations.iter().map(|v| format!("{name}: {v}")));
         if let Some(h) = h {
             health.merge(&h);
         }
@@ -743,9 +479,8 @@ fn main() {
     let storm_names = ["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"];
     for (kind, sys_name) in storm_names.iter().enumerate() {
         for &seed in &SEEDS {
-            let name = format!("storm/{sys_name}/{seed:#x}");
-            let (r, h) = cell_fault_storm(kind, &name, seed);
-            fold(name, r, h);
+            let (r, h) = cell_fault_storm(kind, seed);
+            fold(format!("storm/{sys_name}/{seed:#x}"), r, h);
         }
     }
     for &shards in &SHARDS {
@@ -764,8 +499,8 @@ fn main() {
     }
 
     println!(
-        "chaos campaign: {cells} cells, {} verified reads, {} typed errors, {} refused writes",
-        totals.reads, totals.reported_errors, totals.refused_writes
+        "chaos campaign: {cells} cells, {reads} verified reads, {reported} typed errors, \
+         {refused} refused writes"
     );
     println!(
         "health: {} transitions, {} degraded reads, {} degraded writes, \
@@ -777,11 +512,11 @@ fn main() {
         health.retry_backoffs,
         health.rebuild_chunks
     );
-    if !totals.violations.is_empty() {
-        for v in &totals.violations {
+    if !violations.is_empty() {
+        for v in &violations {
             eprintln!("CHAOS VIOLATION: {v}");
         }
-        eprintln!("{} violation(s)", totals.violations.len());
+        eprintln!("{} violation(s)", violations.len());
         std::process::exit(1);
     }
     // The campaign must have actually exercised every mechanism it exists

@@ -27,13 +27,11 @@
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
 use icash_bench::harness::{attach_jsonl, trace_path_from_args};
 use icash_core::{Icash, IcashConfig};
-use icash_storage::block::{BlockBuf, Lba};
 use icash_storage::cpu::CpuModel;
 use icash_storage::fault::{fault_roll, FaultPlan, FaultStats};
-use icash_storage::request::Request;
 use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
-use std::collections::HashMap;
+use icash_workloads::history::{Accept, History};
 
 /// Logical block space each cell works over.
 const SPACE: u64 = 2048;
@@ -53,16 +51,11 @@ const SEEDS: [u64; 4] = [0xFA01, 0xFA02, 0xFA03, 0xFA04];
 /// Crash points as a fraction of the write history.
 const CRASH_AT: [f64; 3] = [0.25, 0.5, 0.75];
 
-/// The content of version `ver` of block `lba`: shares a common base (so
-/// I-CASH forms references and deltas) but carries a unique 8-byte tag (so
-/// any cross-version or cross-block splice is detectable).
-fn version_content(lba: u64, ver: u32) -> BlockBuf {
-    let mut v = vec![0xA5u8; 4096];
-    let tag = fault_roll(lba, 0x7A6, ver as u64, 0);
-    v[..8].copy_from_slice(&tag.to_le_bytes());
-    v[100] = (lba % 251) as u8;
-    v[2000] = (ver % 251) as u8;
-    BlockBuf::from_vec(v)
+/// Every version of block `lba` shares a `0xA5` body (so I-CASH forms
+/// references and deltas) but carries a unique tag (so any cross-version or
+/// cross-block splice is detectable).
+fn history() -> History {
+    History::stamped(0xA5, 0x7A6)
 }
 
 fn plan_for(seed: u64, rate: f64) -> FaultPlan {
@@ -95,65 +88,22 @@ fn build_icash(plan: FaultPlan, depth: u64) -> Icash {
     .with_fault_plan(plan.scrub_every(97))
 }
 
-/// Outcome of one campaign cell.
-#[derive(Debug, Default)]
-struct CellResult {
-    reads: u64,
-    reported_errors: u64,
-    violations: Vec<String>,
-}
-
-/// Checks one read completion against the acceptable versions. Errored
-/// reads are fine (the contract is *no silent* corruption); data reads
-/// must match one of the versions the history allows.
-fn check_read(
-    name: &str,
-    lba: u64,
-    completion: &icash_storage::request::Completion,
-    acceptable: &[BlockBuf],
-    out: &mut CellResult,
-) {
-    out.reads += 1;
-    if completion.failed(Lba::new(lba)) {
-        out.reported_errors += 1;
-        return;
-    }
-    let got = &completion.data[0];
-    if !acceptable.iter().any(|want| want == got) {
-        out.violations.push(format!(
-            "{name}: lba {lba} returned bytes matching none of the {} acceptable versions",
-            acceptable.len()
-        ));
-    }
-}
-
 /// One non-crash cell: mixed traffic, every read checked against the
 /// latest version (strict oracle: reads must be current or errored).
-fn run_plain_cell(name: &str, sys: &mut dyn StorageSystem, seed: u64, depth: u64) -> CellResult {
+fn run_plain_cell(name: &str, sys: &mut dyn StorageSystem, seed: u64, depth: u64) -> History {
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut latest: HashMap<u64, BlockBuf> = HashMap::new();
-    let mut vers: HashMap<u64, u32> = HashMap::new();
-    let mut out = CellResult::default();
+    let mut h = history();
     let mut t = Ns::ZERO;
     for op in 0..OPS {
         let roll = fault_roll(seed, 0x5EED, op, 0);
         let lba = roll % SPACE;
-        if roll % 5 < 3 {
-            let ver = vers.entry(lba).or_insert(0);
-            *ver += 1;
-            let content = version_content(lba, *ver);
-            latest.insert(lba, content.clone());
-            let w = Request::write(Lba::new(lba), t, content);
-            t = sys.submit(&w, &mut ctx).finished;
+        t = if roll % 5 < 3 {
+            h.write(sys, &mut ctx, lba, t).finished
         } else {
-            let r = Request::read(Lba::new(lba), t);
-            let c = sys.submit(&r, &mut ctx);
-            t = c.finished;
-            let want = latest.get(&lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-            check_read(name, lba, &c, std::slice::from_ref(&want), &mut out);
-        }
+            h.read(sys, &mut ctx, lba, t, Accept::Latest).finished
+        };
     }
     // With the staged pipeline engaged, exercise the ticket barrier under
     // injected faults before the verification sweep: the durability
@@ -169,15 +119,10 @@ fn run_plain_cell(name: &str, sys: &mut dyn StorageSystem, seed: u64, depth: u64
         );
     }
     t = sys.flush(t, &mut ctx);
-    let mut touched: Vec<u64> = latest.keys().copied().collect();
-    touched.sort_unstable();
-    for lba in touched {
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(name, lba, &c, std::slice::from_ref(&latest[&lba]), &mut out);
+    for lba in h.written() {
+        t = h.read(sys, &mut ctx, lba, t, Accept::Latest).finished;
     }
-    out
+    h
 }
 
 /// One crash cell: a write history torn at a seeded crash point; after
@@ -189,31 +134,19 @@ fn run_crash_cell(
     crash_frac: f64,
     traced: bool,
     depth: u64,
-) -> (CellResult, String) {
-    let name = "I-CASH(crash)";
+) -> (History, String) {
     let plan = plan_for(seed, rate).torn_writes();
     let mut sys = build_icash(plan, depth);
     let sink = traced.then(|| attach_jsonl(&mut sys));
     let backing = ZeroSource;
     let mut cpu = CpuModel::xeon();
     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-    let mut history: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-    let mut vers: HashMap<u64, u32> = HashMap::new();
-    let mut out = CellResult::default();
+    let mut h = history();
     let mut t = Ns::ZERO;
     let crash_at = (CRASH_OPS as f64 * crash_frac) as u64;
     for op in 0..crash_at {
-        let roll = fault_roll(seed, 0xC4A5, op, 0);
-        let lba = roll % SPACE;
-        let ver = vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        history
-            .entry(lba)
-            .or_insert_with(|| vec![BlockBuf::zeroed()])
-            .push(content.clone());
-        let w = Request::write(Lba::new(lba), t, content);
-        t = sys.submit(&w, &mut ctx).finished;
+        let lba = fault_roll(seed, 0xC4A5, op, 0) % SPACE;
+        t = h.write(&mut sys, &mut ctx, lba, t).finished;
         // Mid-history barrier with tickets in flight: the crash below then
         // lands with the staging buffer partially drained, covering the
         // torn-group-commit recovery path. Depth-gated for byte-identity.
@@ -222,27 +155,16 @@ fn run_crash_cell(
         }
     }
     let mut sys = sys.crash_and_recover();
-    let mut touched: Vec<u64> = history.keys().copied().collect();
-    touched.sort_unstable();
-    for lba in &touched {
-        let r = Request::read(Lba::new(*lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(name, *lba, &c, &history[lba], &mut out);
+    for lba in h.written() {
+        t = h
+            .read(&mut sys, &mut ctx, lba, t, Accept::Submitted)
+            .finished;
     }
     // Post-recovery service: fresh writes must read back exactly.
     for op in 0..50u64 {
-        let roll = fault_roll(seed, 0xAF7E, op, 0);
-        let lba = roll % SPACE;
-        let ver = vers.entry(lba).or_insert(0);
-        *ver += 1;
-        let content = version_content(lba, *ver);
-        let w = Request::write(Lba::new(lba), t, content.clone());
-        t = sys.submit(&w, &mut ctx).finished;
-        let r = Request::read(Lba::new(lba), t);
-        let c = sys.submit(&r, &mut ctx);
-        t = c.finished;
-        check_read(name, lba, &c, std::slice::from_ref(&content), &mut out);
+        let lba = fault_roll(seed, 0xAF7E, op, 0) % SPACE;
+        t = h.write(&mut sys, &mut ctx, lba, t).finished;
+        t = h.read(&mut sys, &mut ctx, lba, t, Accept::Latest).finished;
     }
     // Post-recovery full barrier: recovery must leave the pipeline in a
     // state where sync still drains cleanly.
@@ -251,14 +173,14 @@ fn run_crash_cell(
         assert_eq!(
             sys.flushed_ticket(),
             sys.write_ticket(),
-            "{name}: sync left tickets in flight after recovery"
+            "I-CASH(crash): sync left tickets in flight after recovery"
         );
     }
     drop(sys);
     let text = sink
         .map(|s| s.lock().expect("trace sink").take_text())
         .unwrap_or_default();
-    (out, text)
+    (h, text)
 }
 
 fn main() {
@@ -291,7 +213,7 @@ fn main() {
                 cells += 1;
                 reads += r.reads;
                 reported += r.reported_errors;
-                violations.extend(r.violations);
+                violations.extend(r.violations.iter().map(|v| format!("{name}: {v}")));
             }
         }
     }
@@ -308,7 +230,7 @@ fn main() {
                 cells += 1;
                 reads += r.reads;
                 reported += r.reported_errors;
-                violations.extend(r.violations);
+                violations.extend(r.violations.iter().map(|v| format!("I-CASH(crash): {v}")));
             }
         }
     }

@@ -23,11 +23,9 @@ use icash_bench::harness::{run_jobs, SystemKind, MSR_FIXTURE, OPEN_LOOP_BASE_GAP
 use icash_storage::time::Ns;
 use icash_storage::trace::Tracer;
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
+use icash_workloads::driver::{run_benchmark, run_paced, DriverConfig, OpenLoop, Pacing};
 use icash_workloads::replay::ReplayWorkload;
-use icash_workloads::scenario::{
-    churn_storm, run_open_loop, ArrivalShape, OpenLoopConfig, ScenarioKind,
-};
+use icash_workloads::scenario::{churn_storm, ArrivalShape, ScenarioKind};
 use icash_workloads::workload::{MixedWorkload, Workload};
 use icash_workloads::WorkloadSpec;
 
@@ -152,10 +150,13 @@ fn cell_open_loop(shape: ArrivalShape, ops: u64) -> CellOut {
     let (tracer, counts) = Tracer::counting();
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
-    let mut cfg = OpenLoopConfig::new(shape.config(OPEN_LOOP_BASE_GAP), ops, SEED);
-    cfg.clients = spec.clients;
-    cfg.warmup_ops = ops / 4;
-    let (s, stats) = run_open_loop(system.as_mut(), &mut wl, &mut model, &cfg, &tracer);
+    let pacing = Pacing::Open(OpenLoop {
+        arrival: shape.config(OPEN_LOOP_BASE_GAP),
+        seed: SEED,
+        tracer,
+    });
+    let cfg = driver(ops, spec.clients);
+    let (s, stats) = run_paced(system.as_mut(), &mut wl, &mut model, &cfg, &pacing);
     // Oracle: the dispatcher and the trace stream must agree event-for-
     // event — same arrival count, same total queued time.
     let c = counts.lock().expect("counting sink");

@@ -37,11 +37,9 @@ use icash_storage::system::{IoCtx, StorageSystem, ZeroSource};
 use icash_storage::time::Ns;
 use icash_storage::trace::{TraceSink, Tracer};
 use icash_workloads::content::ContentModel;
-use icash_workloads::driver::{run_benchmark, DriverConfig};
+use icash_workloads::driver::{run_paced, DriverConfig, OpenLoop, Pacing};
 use icash_workloads::replay::ReplayWorkload;
-use icash_workloads::scenario::{
-    churn_storm, run_open_loop, OpenLoopConfig, ScenarioKind, ScenarioSpec,
-};
+use icash_workloads::scenario::{churn_storm, ScenarioKind, ScenarioSpec};
 use icash_workloads::spec::WorkloadSpec;
 use icash_workloads::trace::{Trace, TracePlayer};
 use icash_workloads::vm::MultiVm;
@@ -399,34 +397,73 @@ fn prepare(plan: &PlannedWorkload) -> PreparedWorkload {
     }
 }
 
+/// The in-repo MSR-Cambridge-style fixture `ICASH_SCENARIO=replay` cells
+/// replay (also the golden-replay test's input, so the harness and the
+/// test pin the same 64 events).
+pub const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
+
+/// Mean inter-arrival gap of open-loop scenario cells. Chosen against the
+/// simulated device service times so the stationary shape stays mostly
+/// un-queued while the 16× flash-crowd bursts visibly overload the array —
+/// the contrast the scenario campaign asserts on.
+pub const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
+
 /// Runs one prepared cell: build the system, replay the trace, time it.
-/// When `traced` is false no sink is attached at all — the simulated run
-/// is exactly the untraced one, which is what keeps `--trace`-less output
+/// A scenario only changes the workload (MSR replay, churn storm), the
+/// spec the system is sized for (a storm brings its own) and the pacing
+/// (open-loop arrivals); every cell then takes the same path. When
+/// `traced` is false no sink is attached at all — the simulated run is
+/// exactly the untraced one, which is what keeps `--trace`-less output
 /// byte-identical.
 fn run_cell_inner(
     kind: SystemKind,
     prep: &PreparedWorkload,
     traced: bool,
 ) -> (RunSummary, Option<String>) {
-    if let Some(sc) = prep.cfg.scenario {
-        return run_scenario_cell(kind, prep, traced, sc);
-    }
     let wall_start = Instant::now();
+    let (mut workload, sys_spec): (Box<dyn Workload>, WorkloadSpec) =
+        match prep.cfg.scenario.map(|sc| sc.kind) {
+            Some(ScenarioKind::Replay) => (
+                Box::new(
+                    ReplayWorkload::from_csv(prep.spec.clone(), MSR_FIXTURE)
+                        .expect("in-repo MSR fixture parses"),
+                ),
+                prep.spec.clone(),
+            ),
+            Some(ScenarioKind::Churn) => {
+                let storm = churn_storm(prep.cfg.seed, prep.cfg.ops);
+                let spec = storm.spec().clone();
+                (Box::new(storm), spec)
+            }
+            None | Some(ScenarioKind::OpenLoop) => (
+                Box::new(
+                    TracePlayer::new(prep.spec.clone(), prep.trace.clone())
+                        .with_universe(prep.universe.clone()),
+                ),
+                prep.spec.clone(),
+            ),
+        };
     let mut system = kind.build_sharded(
-        &prep.spec,
+        &sys_spec,
         prep.cfg.group_commit_depth,
         prep.cfg.shards,
         prep.cfg.health,
         prep.cfg.queue,
     );
-    let sink = if traced {
-        Some(attach_jsonl(system.as_mut()))
-    } else {
-        None
+    let sink = traced.then(|| attach_jsonl(system.as_mut()));
+    let pacing = match prep.cfg.scenario {
+        Some(sc) if sc.kind == ScenarioKind::OpenLoop => Pacing::Open(OpenLoop {
+            arrival: sc.arrival.config(OPEN_LOOP_BASE_GAP),
+            seed: prep.cfg.seed,
+            // The dispatcher shares the cell's sink so `OpenLoopArrival`
+            // events land in the same JSONL stream as the device events.
+            tracer: sink.as_ref().map_or_else(Tracer::disabled, |s| {
+                Tracer::to_sink(s.clone() as Arc<Mutex<dyn TraceSink + Send>>)
+            }),
+        }),
+        _ => Pacing::Closed,
     };
-    let mut player = TracePlayer::new(prep.spec.clone(), prep.trace.clone())
-        .with_universe(prep.universe.clone());
-    let mut model = ContentModel::new(prep.cfg.seed, prep.spec.profile.clone());
+    let mut model = ContentModel::new(prep.cfg.seed, sys_spec.profile.clone());
     let driver = DriverConfig {
         clients: prep.cfg.clients,
         ops: prep.cfg.ops,
@@ -435,7 +472,13 @@ fn run_cell_inner(
         guest_cache: false,
         cpu: None,
     };
-    let mut summary = run_benchmark(system.as_mut(), &mut player, &mut model, &driver);
+    let (mut summary, _) = run_paced(
+        system.as_mut(),
+        workload.as_mut(),
+        &mut model,
+        &driver,
+        &pacing,
+    );
     summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
     if prep.cfg.flush_ticket || prep.cfg.group_commit_depth > 1 || prep.cfg.shards > 1 {
         // Exercise the ticket barrier across every architecture: a full
@@ -453,103 +496,6 @@ fn run_cell_inner(
             summary.system
         );
     }
-    drop(system);
-    let text = sink.map(|s| s.lock().expect("trace sink").take_text());
-    (summary, text)
-}
-
-/// The in-repo MSR-Cambridge-style fixture `ICASH_SCENARIO=replay` cells
-/// replay (also the golden-replay test's input, so the harness and the
-/// test pin the same 64 events).
-pub const MSR_FIXTURE: &str = include_str!("../../workloads/tests/golden/msr_sample.csv");
-
-/// Mean inter-arrival gap of open-loop scenario cells. Chosen against the
-/// simulated device service times so the stationary shape stays mostly
-/// un-queued while the 16× flash-crowd bursts visibly overload the array —
-/// the contrast the scenario campaign asserts on.
-pub const OPEN_LOOP_BASE_GAP: Ns = Ns::from_us(200);
-
-/// Runs one cell under a scenario driver instead of the plain closed loop.
-/// The cell still owns its whole simulated world, so scenario cells keep
-/// the same any-thread / bit-identical contract as plain ones.
-fn run_scenario_cell(
-    kind: SystemKind,
-    prep: &PreparedWorkload,
-    traced: bool,
-    sc: ScenarioSpec,
-) -> (RunSummary, Option<String>) {
-    let wall_start = Instant::now();
-    // Pick the scenario workload and the spec the system is sized for:
-    // replay and open-loop reuse the prepared spec; a churn storm brings
-    // its own fleet-sized one.
-    let (mut workload, sys_spec): (Box<dyn Workload>, WorkloadSpec) = match sc.kind {
-        ScenarioKind::Replay => (
-            Box::new(
-                ReplayWorkload::from_csv(prep.spec.clone(), MSR_FIXTURE)
-                    .expect("in-repo MSR fixture parses"),
-            ),
-            prep.spec.clone(),
-        ),
-        ScenarioKind::OpenLoop => (
-            Box::new(
-                TracePlayer::new(prep.spec.clone(), prep.trace.clone())
-                    .with_universe(prep.universe.clone()),
-            ),
-            prep.spec.clone(),
-        ),
-        ScenarioKind::Churn => {
-            let storm = churn_storm(prep.cfg.seed, prep.cfg.ops);
-            let spec = storm.spec().clone();
-            (Box::new(storm), spec)
-        }
-    };
-    let mut system = kind.build_sharded(
-        &sys_spec,
-        prep.cfg.group_commit_depth,
-        prep.cfg.shards,
-        prep.cfg.health,
-        prep.cfg.queue,
-    );
-    let sink = if traced {
-        Some(attach_jsonl(system.as_mut()))
-    } else {
-        None
-    };
-    let mut model = ContentModel::new(prep.cfg.seed, sys_spec.profile.clone());
-    let mut summary = if sc.kind == ScenarioKind::OpenLoop {
-        // The dispatcher shares the cell's sink so `OpenLoopArrival`
-        // events land in the same JSONL stream as the device events.
-        let tracer = match &sink {
-            Some(s) => Tracer::to_sink(s.clone() as Arc<Mutex<dyn TraceSink + Send>>),
-            None => Tracer::disabled(),
-        };
-        let mut ocfg = OpenLoopConfig::new(
-            sc.arrival.config(OPEN_LOOP_BASE_GAP),
-            prep.cfg.ops,
-            prep.cfg.seed,
-        );
-        ocfg.clients = prep.cfg.clients;
-        ocfg.warmup_ops = prep.cfg.ops / 4;
-        run_open_loop(
-            system.as_mut(),
-            workload.as_mut(),
-            &mut model,
-            &ocfg,
-            &tracer,
-        )
-        .0
-    } else {
-        let driver = DriverConfig {
-            clients: prep.cfg.clients,
-            ops: prep.cfg.ops,
-            warmup_ops: prep.cfg.ops / 4,
-            verify: false,
-            guest_cache: false,
-            cpu: None,
-        };
-        run_benchmark(system.as_mut(), workload.as_mut(), &mut model, &driver)
-    };
-    summary.wall_ns = wall_start.elapsed().as_nanos() as u64;
     drop(system);
     let text = sink.map(|s| s.lock().expect("trace sink").take_text());
     (summary, text)
@@ -863,6 +809,39 @@ mod tests {
         for s in &summaries {
             assert_eq!(s.ops, 1_000);
             assert!(s.elapsed.as_ns() > 0, "{} did not advance time", s.system);
+        }
+    }
+
+    #[test]
+    fn scenario_cells_run_the_ticket_barrier() {
+        // Every scenario takes the same cell path as the plain closed loop,
+        // so `flush_ticket` syncs after the measured run and the barrier
+        // shows up in the cell's trace.
+        let mut spec = sysbench::spec();
+        spec.data_bytes = 32 << 20;
+        spec.ssd_bytes = 4 << 20;
+        spec.ram_bytes = 1 << 20;
+        for kind in ScenarioKind::ALL {
+            let mut cfg = ExperimentConfig::quick(&spec);
+            cfg.ops = 300;
+            cfg.flush_ticket = true;
+            cfg.scenario = Some(ScenarioSpec {
+                kind,
+                arrival: icash_workloads::scenario::ArrivalShape::Burst,
+            });
+            let spec_clone = spec.clone();
+            let cells = run_five_systems_traced(&spec, &cfg, move |seed| {
+                Box::new(icash_workloads::MixedWorkload::new(
+                    spec_clone.clone(),
+                    seed,
+                ))
+            });
+            let (summary, text) = cells.last().expect("five cells");
+            assert_eq!(summary.system, "I-CASH");
+            assert!(
+                text.contains("\"kind\":\"barrier\""),
+                "{kind:?} cell skipped the post-run barrier"
+            );
         }
     }
 

@@ -28,9 +28,9 @@
 
 use crate::harness::run_jobs;
 use icash_core::{Icash, IcashConfig};
-use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
 use icash_storage::block::Lba;
+use icash_storage::histogram::LatencyHistogram;
 use icash_storage::queue::QueueConfig;
 use icash_storage::shard::merge_streams;
 use icash_storage::system::SystemReport;

@@ -1,7 +1,5 @@
 //! # icash-metrics — measurement and reporting for the I-CASH evaluation
 //!
-//! * [`histogram`] — log-bucketed latency histograms (means for Figures 7
-//!   and 9, percentiles for the extended analyses).
 //! * [`summary`] — [`RunSummary`], the complete result of one
 //!   (system × workload) run: throughput, latencies, CPU utilization,
 //!   SSD write counts (Table 6), and energy (Table 5).
@@ -11,8 +9,12 @@
 //!   per-phase virtual-time breakdown ([`trace::TraceProfile`]) over the
 //!   structured event stream of [`icash_storage::trace`].
 //!
+//! The log-bucketed latency histograms a summary carries (means for
+//! Figures 7 and 9, percentiles for the extended analyses) live in
+//! [`icash_storage::histogram`], so device stats can carry them too.
+//!
 //! ```
-//! use icash_metrics::histogram::LatencyHistogram;
+//! use icash_storage::histogram::LatencyHistogram;
 //! use icash_storage::time::Ns;
 //!
 //! let mut lat = LatencyHistogram::new();
@@ -24,11 +26,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod histogram;
 pub mod report;
 pub mod summary;
 pub mod trace;
 
-pub use histogram::LatencyHistogram;
 pub use summary::RunSummary;
 pub use trace::{JsonlSink, TraceProfile};

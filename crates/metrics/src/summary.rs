@@ -1,6 +1,6 @@
 //! End-of-run summaries: everything a paper figure or table reads.
 
-use crate::histogram::LatencyHistogram;
+use icash_storage::histogram::LatencyHistogram;
 use icash_storage::system::SystemReport;
 use icash_storage::time::Ns;
 use serde::{Deserialize, Serialize};

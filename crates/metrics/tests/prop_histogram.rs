@@ -3,7 +3,7 @@
 //! statistics must stay ordered (`min ≤ p50 ≤ p99 ≤ max`) for any sample
 //! set, including empty, single-sample, and saturating-top-bucket inputs.
 
-use icash_metrics::histogram::LatencyHistogram;
+use icash_storage::histogram::LatencyHistogram;
 use icash_storage::stats::DeviceStats;
 use icash_storage::time::Ns;
 use proptest::prelude::*;

@@ -1,8 +1,12 @@
-//! The closed-loop benchmark driver.
+//! The benchmark driver: one loop, two pacings.
 //!
 //! Reproduces the paper's measurement setup: N logical clients issue
-//! requests against one storage system, each waiting for its previous
-//! request (plus its application compute) before issuing the next. The
+//! requests against one storage system. Under [`Pacing::Closed`] each
+//! client waits for its previous request (plus its application compute)
+//! before issuing the next. Under [`Pacing::Open`] a seeded
+//! [`ArrivalProcess`] schedule decides when each request arrives, whether
+//! or not a client slot is free, so queueing time becomes a measured
+//! quantity (emitted as `OpenLoopArrival` trace events). Either way the
 //! driver owns the CPU model and the content model, collects latencies
 //! into histograms, and emits a [`RunSummary`] with everything the paper's
 //! figures and tables report.
@@ -11,17 +15,19 @@
 //! model's oracle — a whole-system data-integrity test running under the
 //! exact benchmark access pattern.
 
+use crate::arrivals::{ArrivalConfig, ArrivalProcess, EventQueue};
 use crate::content::ContentModel;
 use crate::workload::Workload;
-use icash_metrics::histogram::LatencyHistogram;
 use icash_metrics::summary::RunSummary;
 use icash_storage::block::BlockBuf;
 use icash_storage::block::Lba;
-use icash_storage::cpu::CpuModel;
+use icash_storage::cpu::{CpuModel, CpuOp};
+use icash_storage::histogram::LatencyHistogram;
 use icash_storage::lru::LruMap;
-use icash_storage::request::{Op, Request};
+use icash_storage::request::{Completion, Op, Request};
 use icash_storage::system::{IoCtx, StorageSystem};
 use icash_storage::time::Ns;
+use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
 
 /// The guest VM's page cache (Table 4's "VM RAM" column).
 ///
@@ -61,8 +67,8 @@ impl PageCache {
 /// Driver parameters.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
-    /// Concurrent closed-loop clients (the paper uses 16 SysBench threads,
-    /// 100 LoadSim users, 300 RUBiS clients...).
+    /// Concurrent clients (the paper uses 16 SysBench threads, 100 LoadSim
+    /// users, 300 RUBiS clients...); open-loop service slots.
     pub clients: u32,
     /// Total operations to issue.
     pub ops: u64,
@@ -113,7 +119,47 @@ impl DriverConfig {
     }
 }
 
-/// Runs `workload` against `system` and summarises the result.
+/// How the driver decides when each request is issued.
+#[derive(Debug, Clone)]
+pub enum Pacing {
+    /// Closed loop: the earliest-ready client issues next, and a client is
+    /// ready again after its request completes plus the workload's app-CPU
+    /// and think time. Latency is measured from the issue instant.
+    Closed,
+    /// Open loop: requests arrive on a seeded schedule and start service at
+    /// the later of their arrival and the earliest free client slot. Think
+    /// and app-CPU times are ignored (pacing belongs to the arrival
+    /// process), and latency is measured from the *scheduled arrival*, so
+    /// it includes queued time — which is what makes overload visible.
+    Open(OpenLoop),
+}
+
+/// Open-loop pacing parameters.
+#[derive(Debug, Clone)]
+pub struct OpenLoop {
+    /// The arrival process to dispatch.
+    pub arrival: ArrivalConfig,
+    /// Seed for the arrival schedule.
+    pub seed: u64,
+    /// Receives one [`TraceKind::OpenLoopArrival`] per dispatch, carrying
+    /// the queued/service split the oracle tests reconcile.
+    pub tracer: Tracer,
+}
+
+/// What the open-loop dispatcher observed, for oracle reconciliation
+/// against the `OpenLoopArrival` trace stream. All zero under
+/// [`Pacing::Closed`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpenLoopStats {
+    /// Arrivals dispatched (one trace event each).
+    pub arrivals: u64,
+    /// Total time arrivals spent waiting for a free service slot.
+    pub queued: Ns,
+    /// Arrivals that waited at all.
+    pub queued_arrivals: u64,
+}
+
+/// Runs `workload` closed-loop against `system` and summarises the result.
 ///
 /// # Panics
 ///
@@ -125,10 +171,31 @@ pub fn run_benchmark(
     model: &mut ContentModel,
     cfg: &DriverConfig,
 ) -> RunSummary {
+    run_paced(system, workload, model, cfg, &Pacing::Closed).0
+}
+
+/// Runs `workload` against `system` under `pacing` and summarises the
+/// result, plus the open-loop dispatch tallies.
+///
+/// `cfg.clients` is the number of client slots under either pacing: closed
+/// clients, or open-loop service slots (how many requests may be in
+/// service at once). Equal-time ties go to the lowest slot index.
+///
+/// # Panics
+///
+/// Panics if `verify` is set and the system returns wrong data.
+pub fn run_paced(
+    system: &mut dyn StorageSystem,
+    workload: &mut dyn Workload,
+    model: &mut ContentModel,
+    cfg: &DriverConfig,
+    pacing: &Pacing,
+) -> (RunSummary, OpenLoopStats) {
     let mut cpu = cfg.cpu.clone().unwrap_or_else(CpuModel::xeon);
-    let mut ready = vec![Ns::ZERO; cfg.clients.max(1) as usize];
+    let mut slots = vec![Ns::ZERO; cfg.clients.max(1) as usize];
     let mut read_latency = LatencyHistogram::new();
     let mut write_latency = LatencyHistogram::new();
+    let mut stats = OpenLoopStats::default();
     let mut end = Ns::ZERO;
     let mut steady_start = Ns::ZERO;
     // Offline image preparation (charges no virtual time).
@@ -146,14 +213,45 @@ pub fn run_benchmark(
     } else {
         0
     });
+    // The whole open-loop schedule goes through the event queue so
+    // dispatch order is the queue's (time, id) order — the deterministic
+    // tie-break the arrival proptests pin — not generation order.
+    let mut arrivals = EventQueue::new();
+    if let Pacing::Open(open) = pacing {
+        for a in ArrivalProcess::new(open.arrival.clone(), open.seed).take(cfg.ops) {
+            arrivals.push(a);
+        }
+    }
 
     for n in 0..cfg.ops {
-        // Next client to become ready (closed loop).
-        let client = (0..ready.len())
-            .min_by_key(|&i| ready[i])
-            .expect("at least one client");
-        let at = ready[client];
         let wop = workload.next_op();
+        let slot = (0..slots.len())
+            .min_by_key(|&i| slots[i])
+            .expect("at least one client");
+        // `origin` is where latency is measured from; `at` is when the
+        // request is issued to the system.
+        let (origin, at) = match pacing {
+            Pacing::Closed => (slots[slot], slots[slot]),
+            Pacing::Open(open) => {
+                let arrival = arrivals.pop().expect("one arrival per op");
+                let start = arrival.at.max(slots[slot]);
+                let queued = start - arrival.at;
+                stats.arrivals += 1;
+                stats.queued += queued;
+                if queued > Ns::ZERO {
+                    stats.queued_arrivals += 1;
+                }
+                open.tracer.emit(|| TraceEvent {
+                    at: arrival.at,
+                    kind: TraceKind::OpenLoopArrival {
+                        seq: arrival.id,
+                        lba: wop.lba.raw(),
+                        queued: queued.as_ns(),
+                    },
+                });
+                (arrival.at, start)
+            }
+        };
 
         let req = match wop.op {
             Op::Read => Request::read_span(wop.lba, wop.blocks, at),
@@ -170,13 +268,13 @@ pub fn run_benchmark(
         let cache_hit =
             cfg.guest_cache && wop.op == Op::Read && req.lbas().all(|l| page_cache.contains(l));
         let completion = if cache_hit {
-            let copy = cpu.charge(icash_storage::cpu::CpuOp::Memcpy);
+            let copy = cpu.charge(CpuOp::Memcpy);
             let data = if cfg.verify {
                 req.lbas().map(|l| model.current_content(l)).collect()
             } else {
                 Vec::new()
             };
-            icash_storage::request::Completion::with_data(at + copy, data)
+            Completion::with_data(at + copy, data)
         } else {
             for l in req.lbas() {
                 page_cache.insert(l);
@@ -208,9 +306,9 @@ pub fn run_benchmark(
             }
         }
 
-        let latency = completion.latency(&req);
+        let latency = completion.finished.saturating_sub(origin);
         if n == cfg.warmup_ops {
-            steady_start = at;
+            steady_start = origin;
         }
         if n >= cfg.warmup_ops {
             match wop.op {
@@ -219,9 +317,14 @@ pub fn run_benchmark(
             }
         }
 
-        cpu.charge_app(wop.app_cpu);
-        ready[client] = completion.finished + wop.app_cpu + wop.think;
-        end = end.max(ready[client]);
+        slots[slot] = match pacing {
+            Pacing::Closed => {
+                cpu.charge_app(wop.app_cpu);
+                completion.finished + wop.app_cpu + wop.think
+            }
+            Pacing::Open(_) => completion.finished,
+        };
+        end = end.max(slots[slot]);
     }
 
     // Clean shutdown: flush buffered state.
@@ -238,7 +341,7 @@ pub fn run_benchmark(
     let spec = workload.spec();
     let device_energy = report.device_energy;
     let cpu_energy = cpu.energy(end);
-    RunSummary {
+    let summary = RunSummary {
         system: report.name.clone(),
         workload: spec.name.clone(),
         ops: cfg.ops,
@@ -258,16 +361,17 @@ pub fn run_benchmark(
         energy_wh: (device_energy + cpu_energy).as_watt_hours(),
         report,
         wall_ns: 0, // filled in by the harness, which times the whole cell
-    }
+    };
+    (summary, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::content::ContentProfile;
+    use crate::scenario::ArrivalShape;
     use crate::spec::WorkloadSpec;
     use crate::workload::MixedWorkload;
-    use icash_storage::request::Completion;
     use icash_storage::system::SystemReport;
 
     /// A fixed-latency system for driver mechanics.
@@ -409,5 +513,84 @@ mod tests {
         let cfg = DriverConfig::new(100).clients(1);
         let s = run_benchmark(&mut system, &mut wl, &mut model, &cfg);
         assert_eq!(s.read_latency.count() + s.write_latency.count(), 90);
+    }
+
+    fn open(arrival: ArrivalConfig, seed: u64, tracer: Tracer) -> Pacing {
+        Pacing::Open(OpenLoop {
+            arrival,
+            seed,
+            tracer,
+        })
+    }
+
+    #[test]
+    fn open_loop_counts_reconcile_with_the_trace() {
+        let (tracer, counts) = Tracer::counting();
+        let mut wl = MixedWorkload::new(tiny_spec(), 5);
+        let mut model = ContentModel::new(5, ContentProfile::database());
+        let pacing = open(ArrivalShape::Stationary.config(Ns::from_us(200)), 5, tracer);
+        let cfg = DriverConfig::new(400);
+        let (summary, stats) = run_paced(&mut FixedLatency, &mut wl, &mut model, &cfg, &pacing);
+        assert_eq!(stats.arrivals, 400);
+        assert_eq!(summary.ops, 400);
+        let c = counts.lock().expect("sink");
+        assert_eq!(c.open_loop_arrivals, 400, "one trace event per arrival");
+        assert_eq!(c.open_loop_queued, stats.queued, "oracle and driver agree");
+    }
+
+    #[test]
+    fn closed_loop_dispatches_no_arrivals() {
+        let mut wl = MixedWorkload::new(tiny_spec(), 5);
+        let mut model = ContentModel::new(5, ContentProfile::database());
+        let cfg = DriverConfig::new(200);
+        let (_, stats) = run_paced(
+            &mut FixedLatency,
+            &mut wl,
+            &mut model,
+            &cfg,
+            &Pacing::Closed,
+        );
+        assert_eq!(stats, OpenLoopStats::default());
+    }
+
+    #[test]
+    fn overload_queues_and_underload_does_not() {
+        // 1 service slot, 100 µs service: arrivals every 50 µs overload
+        // (gaps < service), every 400 µs underload.
+        let run = |gap_us: u64| {
+            let arrival = ArrivalConfig {
+                base_gap: Ns::from_us(gap_us),
+                diurnal: None,
+                burst: None,
+                jitter: false,
+            };
+            let mut wl = MixedWorkload::new(tiny_spec(), 9);
+            let mut model = ContentModel::new(9, ContentProfile::database());
+            let cfg = DriverConfig::new(200).clients(1);
+            let pacing = open(arrival, 9, Tracer::disabled());
+            run_paced(&mut FixedLatency, &mut wl, &mut model, &cfg, &pacing).1
+        };
+        let overloaded = run(50);
+        let underloaded = run(400);
+        assert!(overloaded.queued_arrivals > 150, "overload must queue");
+        assert!(overloaded.queued > Ns::ZERO);
+        assert_eq!(underloaded.queued, Ns::ZERO, "underload must not queue");
+    }
+
+    #[test]
+    fn open_loop_is_deterministic() {
+        let run = || {
+            let mut wl = MixedWorkload::new(tiny_spec(), 3);
+            let mut model = ContentModel::new(3, ContentProfile::database());
+            let cfg = DriverConfig::new(300);
+            let pacing = open(
+                ArrivalShape::Burst.config(Ns::from_us(100)),
+                3,
+                Tracer::disabled(),
+            );
+            let (s, stats) = run_paced(&mut FixedLatency, &mut wl, &mut model, &cfg, &pacing);
+            (s.elapsed, s.read_latency, s.write_latency, stats)
+        };
+        assert_eq!(run(), run());
     }
 }

@@ -15,14 +15,16 @@
 //!   [`tpcc`], [`loadsim`], [`specsfs`], [`rubis`].
 //! * [`vm`] — the 5-VM multi-tenant mixers of Figures 15–16.
 //! * [`trace`] — record/replay so every system sees an identical stream.
-//! * [`driver`] — the closed-loop driver emitting
+//! * [`driver`] — the closed- and open-loop benchmark driver emitting
 //!   [`icash_metrics::RunSummary`]s.
+//! * [`history`] — the per-LBA write-history oracle the fault, crash and
+//!   device-death campaigns check every read against.
 //! * [`replay`] — strict MSR-Cambridge-style CSV block-trace parsing with
 //!   the seeded content overlay.
 //! * [`arrivals`] — seeded open-loop arrival schedules (diurnal,
 //!   flash-crowd bursts) on a deterministic virtual-time event queue.
 //! * [`scenario`] — the scenario engine: trace replay, open-loop
-//!   dispatch, and tenant-churn storms over [`vm`] fleets.
+//!   arrival shapes, and tenant-churn storms over [`vm`] fleets.
 //!
 //! ## Example: run SysBench ops against any storage system
 //!
@@ -45,6 +47,7 @@ pub mod arrivals;
 pub mod content;
 pub mod driver;
 pub mod hadoop;
+pub mod history;
 pub mod loadsim;
 pub mod replay;
 pub mod rubis;

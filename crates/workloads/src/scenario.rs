@@ -7,11 +7,12 @@
 //! * **Block-trace replay** — [`replay`](crate::replay) parses
 //!   MSR-Cambridge-style CSV and [`ScenarioKind::Replay`] pushes it
 //!   through the closed-loop driver with the seeded content overlay.
-//! * **Open-loop arrivals** — [`run_open_loop`] dispatches a deterministic
-//!   [`ArrivalProcess`] schedule (diurnal sine, flash-crowd bursts)
-//!   through an [`EventQueue`]; requests arrive whether or not a client
-//!   is free, so queueing time becomes a real, measured quantity
-//!   (emitted as `OpenLoopArrival` trace events).
+//! * **Open-loop arrivals** — [`ArrivalShape`] names the canonical
+//!   [`ArrivalConfig`] schedules (stationary, diurnal sine, flash-crowd
+//!   bursts) that the driver's [`Pacing::Open`](crate::driver::Pacing)
+//!   dispatches: requests arrive whether or not a client is free, so
+//!   queueing time becomes a real, measured quantity (emitted as
+//!   `OpenLoopArrival` trace events).
 //! * **Tenant-churn storms** — [`ChurnStorm`] scales
 //!   [`MultiVm`](crate::vm::MultiVm) fleets with thousands of seeded VM
 //!   create/clone/destroy events while the benchmark runs.
@@ -21,19 +22,11 @@
 
 #![deny(clippy::unwrap_used)]
 
-use crate::arrivals::{ArrivalConfig, ArrivalProcess, EventQueue};
-use crate::content::ContentModel;
+use crate::arrivals::ArrivalConfig;
 use crate::spec::WorkloadSpec;
 use crate::vm::MultiVm;
 use crate::workload::Workload;
-use icash_metrics::histogram::LatencyHistogram;
-use icash_metrics::summary::RunSummary;
-use icash_storage::block::BlockBuf;
-use icash_storage::cpu::CpuModel;
-use icash_storage::request::{Op, Request};
-use icash_storage::system::{IoCtx, StorageSystem};
 use icash_storage::time::Ns;
-use icash_storage::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,185 +131,6 @@ pub struct ScenarioSpec {
     pub kind: ScenarioKind,
     /// Arrival shape; meaningful only for [`ScenarioKind::OpenLoop`].
     pub arrival: ArrivalShape,
-}
-
-/// Parameters of one open-loop run.
-#[derive(Debug, Clone)]
-pub struct OpenLoopConfig {
-    /// The arrival process to dispatch.
-    pub arrival: ArrivalConfig,
-    /// Service slots: how many requests may be in flight at once. Unlike
-    /// the closed loop, arrivals do not wait for a slot to *schedule* —
-    /// only to start service, and the difference is the queued time.
-    pub clients: u32,
-    /// Total arrivals to dispatch.
-    pub ops: u64,
-    /// Arrivals excluded from latency statistics.
-    pub warmup_ops: u64,
-    /// Seed for the arrival schedule.
-    pub seed: u64,
-}
-
-impl OpenLoopConfig {
-    /// `ops` arrivals over `arrival`, 16 service slots, 10 % warmup.
-    pub fn new(arrival: ArrivalConfig, ops: u64, seed: u64) -> Self {
-        OpenLoopConfig {
-            arrival,
-            clients: 16,
-            ops,
-            warmup_ops: ops / 10,
-            seed,
-        }
-    }
-}
-
-/// What the open-loop dispatcher observed, for oracle reconciliation
-/// against the `OpenLoopArrival` trace stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpenLoopStats {
-    /// Arrivals dispatched (one trace event each).
-    pub arrivals: u64,
-    /// Total time arrivals spent waiting for a free service slot.
-    pub queued: Ns,
-    /// Arrivals that waited at all.
-    pub queued_arrivals: u64,
-}
-
-/// Runs `workload` open-loop against `system`: the arrival schedule, not
-/// request completion, decides when each operation is issued. Think and
-/// app-CPU times from the workload are ignored — pacing belongs to the
-/// arrival process here. Latency is measured from the *scheduled arrival*
-/// (so it includes queued time), which is what makes overload visible.
-///
-/// Every dispatch emits a [`TraceKind::OpenLoopArrival`] through `tracer`
-/// carrying the queued/service split the oracle tests reconcile.
-pub fn run_open_loop(
-    system: &mut dyn StorageSystem,
-    workload: &mut dyn Workload,
-    model: &mut ContentModel,
-    cfg: &OpenLoopConfig,
-    tracer: &Tracer,
-) -> (RunSummary, OpenLoopStats) {
-    let mut cpu = CpuModel::xeon();
-    let mut free = vec![Ns::ZERO; cfg.clients.max(1) as usize];
-    let mut read_latency = LatencyHistogram::new();
-    let mut write_latency = LatencyHistogram::new();
-    let mut stats = OpenLoopStats::default();
-    let mut end = Ns::ZERO;
-    let mut steady_start = Ns::ZERO;
-    // Offline image preparation, exactly like the closed-loop driver.
-    {
-        let universe = workload.address_universe();
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.preload(&universe, &mut ctx);
-    }
-
-    // The whole schedule goes through the event queue so dispatch order is
-    // the queue's (time, id) order — the deterministic tie-break the
-    // arrival proptests pin — not generation order.
-    let mut queue = EventQueue::new();
-    let mut process = ArrivalProcess::new(cfg.arrival.clone(), cfg.seed);
-    for a in process.take(cfg.ops) {
-        queue.push(a);
-    }
-
-    let mut n: u64 = 0;
-    while let Some(arrival) = queue.pop() {
-        let wop = workload.next_op();
-        // Earliest-free service slot; the arrival never waits to be
-        // *scheduled*, only to start service.
-        let client = (0..free.len())
-            .min_by_key(|&i| free[i])
-            .expect("at least one client");
-        let start = arrival.at.max(free[client]);
-        let queued = start - arrival.at;
-        stats.arrivals += 1;
-        stats.queued += queued;
-        if queued > Ns::ZERO {
-            stats.queued_arrivals += 1;
-        }
-        tracer.emit(|| TraceEvent {
-            at: arrival.at,
-            kind: TraceKind::OpenLoopArrival {
-                seq: arrival.id,
-                lba: wop.lba.raw(),
-                queued: queued.as_ns(),
-            },
-        });
-
-        let req = match wop.op {
-            Op::Read => Request::read_span(wop.lba, wop.blocks, start),
-            Op::Write => {
-                let payload: Vec<BlockBuf> = (0..wop.blocks as u64)
-                    .map(|i| model.write_payload(wop.lba.plus(i)))
-                    .collect();
-                Request::write_span(wop.lba, start, payload)
-            }
-        };
-        let completion = {
-            let mut ctx = IoCtx {
-                backing: &*model,
-                cpu: &mut cpu,
-                collect_data: false,
-            };
-            system.submit(&req, &mut ctx)
-        };
-
-        // Response time from the scheduled arrival: queueing included.
-        let latency = completion.finished - arrival.at;
-        if n == cfg.warmup_ops {
-            steady_start = arrival.at;
-        }
-        if n >= cfg.warmup_ops {
-            match wop.op {
-                Op::Read => read_latency.record(latency),
-                Op::Write => write_latency.record(latency),
-            }
-        }
-        free[client] = completion.finished;
-        end = end.max(completion.finished);
-        n += 1;
-    }
-
-    let end = {
-        let mut ctx = IoCtx {
-            backing: &*model,
-            cpu: &mut cpu,
-            collect_data: false,
-        };
-        system.flush(end, &mut ctx).max(end)
-    };
-
-    let report = system.report(end);
-    let spec = workload.spec();
-    let device_energy = report.device_energy;
-    let cpu_energy = cpu.energy(end);
-    let summary = RunSummary {
-        system: report.name.clone(),
-        workload: spec.name.clone(),
-        ops: cfg.ops,
-        transactions: cfg.ops / spec.ops_per_transaction.max(1),
-        elapsed: end,
-        steady_ops: cfg.ops.saturating_sub(cfg.warmup_ops),
-        steady_elapsed: end.saturating_sub(steady_start),
-        read_latency,
-        write_latency,
-        cpu_utilization: cpu.utilization(end),
-        storage_cpu_utilization: if end == Ns::ZERO {
-            0.0
-        } else {
-            (cpu.storage_busy().as_ns() as f64 / end.as_ns() as f64).min(1.0)
-        },
-        ssd_writes: report.ssd.as_ref().map(|s| s.writes).unwrap_or(0),
-        energy_wh: (device_energy + cpu_energy).as_watt_hours(),
-        report,
-        wall_ns: 0, // filled in by the harness, which times the whole cell
-    };
-    (summary, stats)
 }
 
 /// Parameters of a tenant-churn storm.
@@ -476,34 +290,6 @@ pub fn churn_storm(seed: u64, events: u64) -> ChurnStorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::content::ContentProfile;
-    use crate::workload::MixedWorkload;
-    use icash_storage::request::Completion;
-    use icash_storage::system::SystemReport;
-
-    /// A fixed-latency system: service takes 100 µs per request.
-    #[derive(Debug)]
-    struct Fixed;
-    impl StorageSystem for Fixed {
-        fn name(&self) -> &str {
-            "Fixed"
-        }
-        fn submit(&mut self, req: &Request, _ctx: &mut IoCtx<'_>) -> Completion {
-            Completion::at(req.at + Ns::from_us(100))
-        }
-        fn report(&self, _elapsed: Ns) -> SystemReport {
-            SystemReport {
-                name: "Fixed".into(),
-                ..SystemReport::default()
-            }
-        }
-    }
-
-    fn small_workload(seed: u64) -> MixedWorkload {
-        let mut spec = crate::tpcc::spec();
-        spec.data_bytes = 16 << 20;
-        MixedWorkload::new(spec, seed)
-    }
 
     #[test]
     fn knob_spellings_round_trip() {
@@ -519,62 +305,6 @@ mod tests {
         );
         assert_eq!(ScenarioKind::parse("chaos"), None);
         assert_eq!(ArrivalShape::parse("tsunami"), None);
-    }
-
-    #[test]
-    fn open_loop_counts_reconcile_with_the_trace() {
-        let (tracer, counts) = Tracer::counting();
-        let mut wl = small_workload(5);
-        let mut model = ContentModel::new(5, ContentProfile::database());
-        let cfg = OpenLoopConfig::new(ArrivalShape::Stationary.config(Ns::from_us(200)), 400, 5);
-        let (summary, stats) = run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &tracer);
-        assert_eq!(stats.arrivals, 400);
-        assert_eq!(summary.ops, 400);
-        let c = counts.lock().expect("sink");
-        assert_eq!(c.open_loop_arrivals, 400, "one trace event per arrival");
-        assert_eq!(c.open_loop_queued, stats.queued, "oracle and driver agree");
-    }
-
-    #[test]
-    fn overload_queues_and_underload_does_not() {
-        // 1 service slot, 100 µs service: arrivals every 50 µs overload
-        // (gaps < service), every 400 µs underload.
-        let run = |gap_us: u64| {
-            let mut cfg = OpenLoopConfig::new(
-                ArrivalConfig {
-                    base_gap: Ns::from_us(gap_us),
-                    diurnal: None,
-                    burst: None,
-                    jitter: false,
-                },
-                200,
-                9,
-            );
-            cfg.clients = 1;
-            let mut wl = small_workload(9);
-            let mut model = ContentModel::new(9, ContentProfile::database());
-            let (_, stats) =
-                run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &Tracer::disabled());
-            stats
-        };
-        let overloaded = run(50);
-        let underloaded = run(400);
-        assert!(overloaded.queued_arrivals > 150, "overload must queue");
-        assert!(overloaded.queued > Ns::ZERO);
-        assert_eq!(underloaded.queued, Ns::ZERO, "underload must not queue");
-    }
-
-    #[test]
-    fn open_loop_is_deterministic() {
-        let run = || {
-            let mut wl = small_workload(3);
-            let mut model = ContentModel::new(3, ContentProfile::database());
-            let cfg = OpenLoopConfig::new(ArrivalShape::Burst.config(Ns::from_us(100)), 300, 3);
-            let (s, stats) =
-                run_open_loop(&mut Fixed, &mut wl, &mut model, &cfg, &Tracer::disabled());
-            (s.elapsed, s.read_latency, s.write_latency, stats)
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

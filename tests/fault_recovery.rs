@@ -10,8 +10,8 @@ use icash::storage::fault::{fault_roll, FaultPlan, HealthPolicy, HealthState};
 use icash::storage::request::IoErrorKind;
 use icash::storage::shard::ShardRouter;
 use icash::storage::{BlockBuf, IoCtx, Lba, Ns, Request, StorageSystem, ZeroSource};
+use icash::workloads::history::{Accept, History};
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const SPAN: u64 = 64;
 
@@ -117,6 +117,66 @@ fn shard_block_for(lba: u64, tag: u8) -> BlockBuf {
     BlockBuf::from_vec(v)
 }
 
+/// Replays `ops` up to `crash_at` against `system` without collecting read
+/// data (nothing is checked before the crash), recording every write of
+/// `content(lba, tag)` in `history` and marking every completed barrier.
+fn run_until_crash(
+    system: &mut dyn StorageSystem,
+    ops: &[SysOp],
+    crash_at: usize,
+    history: &mut History,
+    content: impl Fn(u64, u8) -> BlockBuf,
+) -> Ns {
+    let mut cpu = CpuModel::xeon();
+    let backing = ZeroSource;
+    let mut now = Ns::ZERO;
+    for op in ops.iter().take(crash_at.min(ops.len())) {
+        let mut ctx = IoCtx::new(&backing, &mut cpu);
+        match op {
+            SysOp::Write { lba, tag } => {
+                now = history
+                    .write_content(system, &mut ctx, *lba, now, content(*lba, *tag))
+                    .finished;
+            }
+            SysOp::Read { lba } => {
+                now = system
+                    .submit(&Request::read(Lba::new(*lba), now), &mut ctx)
+                    .finished;
+            }
+            SysOp::Flush => {
+                now = system.flush(now, &mut ctx);
+            }
+            SysOp::Barrier => {
+                let ticket = system.write_ticket();
+                now = system.sync(now, &mut ctx);
+                prop_assert!(
+                    system.flushed_ticket() >= ticket,
+                    "sync returned with tickets still in flight"
+                );
+                history.barrier();
+            }
+        }
+    }
+    now
+}
+
+/// Reads back every block `history` saw written, after a crash, and checks
+/// each against `accept`.
+fn check_recovery(
+    system: &mut dyn StorageSystem,
+    history: &mut History,
+    mut now: Ns,
+    accept: Accept,
+) {
+    let mut cpu = CpuModel::xeon();
+    let backing = ZeroSource;
+    for lba in history.written() {
+        let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+        now = history.read(system, &mut ctx, lba, now, accept).finished;
+    }
+    prop_assert!(history.violations.is_empty(), "{:?}", history.violations);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -133,35 +193,26 @@ proptest! {
         let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut oracle: HashMap<u64, BlockBuf> = HashMap::new();
+        let mut history = History::new();
         let mut now = Ns::ZERO;
         for op in &ops {
+            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
             match op {
                 SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    oracle.insert(*lba, content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
+                    now = history
+                        .write_content(&mut system, &mut ctx, *lba, now, block_for(*tag))
+                        .finished;
                 }
                 SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    let completion = system.submit(&req, &mut ctx);
+                    let completion = history.read(&mut system, &mut ctx, *lba, now, Accept::Latest);
                     prop_assert!(completion.finished >= now, "time ran backwards");
                     now = completion.finished;
-                    if completion.failed(Lba::new(*lba)) {
-                        continue;
-                    }
-                    let want = oracle.get(lba).cloned().unwrap_or_else(BlockBuf::zeroed);
-                    prop_assert_eq!(&completion.data[0], &want, "lba {}", lba);
+                    prop_assert!(history.violations.is_empty(), "{:?}", history.violations);
                 }
                 SysOp::Flush => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                     now = system.flush(now, &mut ctx);
                 }
                 SysOp::Barrier => {
-                    let mut ctx = IoCtx::verifying(&backing, &mut cpu);
                     let ticket = system.write_ticket();
                     now = system.sync(now, &mut ctx);
                     prop_assert!(
@@ -189,49 +240,10 @@ proptest! {
     ) {
         let rate = [0.0, 1e-4, 1e-3, 1e-2][rate_pick];
         let mut system = faulty_icash(seed, rate, DEPTHS[depth_pick]);
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
-                SysOp::Barrier => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.sync(now, &mut ctx);
-                }
-            }
-        }
+        let mut history = History::new();
+        let now = run_until_crash(&mut system, &ops, crash_at, &mut history, |_, tag| block_for(tag));
         let mut recovered = system.crash_and_recover();
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            if completion.failed(Lba::new(lba)) {
-                continue;
-            }
-            prop_assert!(
-                held.contains(&completion.data[0]),
-                "lba {lba}: recovered to a value it never held"
-            );
-        }
+        check_recovery(&mut recovered, &mut history, now, Accept::Submitted);
     }
 
     /// The sharded engine under the same contract: crash with up to K
@@ -254,39 +266,8 @@ proptest! {
         let rate = [0.0, 1e-4, 1e-3][rate_pick];
         let width = [2u32, 3, 5][width_pick];
         let mut system = sharded_faulty(width, seed, rate, DEPTHS[depth_pick]);
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            match op {
-                SysOp::Write { lba, tag } => {
-                    let content = shard_block_for(*lba, *tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
-                SysOp::Barrier => {
-                    let ticket = system.write_ticket();
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.sync(now, &mut ctx);
-                    prop_assert!(
-                        system.flushed_ticket() >= ticket,
-                        "cross-shard sync returned with tickets in flight"
-                    );
-                }
-            }
-        }
+        let mut history = History::new();
+        let now = run_until_crash(&mut system, &ops, crash_at, &mut history, shard_block_for);
         // Power dies on every shard at once; each recovers alone, then the
         // router is rebuilt over the survivors.
         let mut recovered = ShardRouter::new(
@@ -296,21 +277,7 @@ proptest! {
                 .map(Icash::crash_and_recover)
                 .collect(),
         );
-        for (lba, mut held) in versions {
-            held.push(BlockBuf::zeroed()); // the pre-history version
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            if completion.failed(Lba::new(lba)) {
-                continue;
-            }
-            prop_assert!(
-                held.contains(&completion.data[0]),
-                "outer lba {lba}: recovered to a value it never held \
-                 (possible cross-shard splice)"
-            );
-        }
+        check_recovery(&mut recovered, &mut history, now, Accept::Submitted);
     }
 
     /// The barrier durability contract: any write covered by an
@@ -326,73 +293,13 @@ proptest! {
         depth_pick in 0usize..3,
     ) {
         let mut system = pipelined_icash(DEPTHS[depth_pick]);
-        let mut cpu = CpuModel::xeon();
-        let backing = ZeroSource;
-        // Per LBA: every version written, and the index of the newest one
-        // covered by a completed barrier (none if never barriered).
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
-        let mut durable_from: HashMap<u64, usize> = HashMap::new();
-        let mut now = Ns::ZERO;
-        for op in ops.iter().take(crash_at.min(ops.len())) {
-            match op {
-                SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    versions.entry(*lba).or_default().push(content.clone());
-                    let req = Request::write(Lba::new(*lba), now, content);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.submit(&req, &mut ctx).finished;
-                }
-                SysOp::Flush => {
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.flush(now, &mut ctx);
-                }
-                SysOp::Barrier => {
-                    let ticket = system.write_ticket();
-                    let mut ctx = IoCtx::new(&backing, &mut cpu);
-                    now = system.await_flush(ticket, now, &mut ctx);
-                    prop_assert!(system.flushed_ticket() >= ticket);
-                    for (lba, held) in &versions {
-                        durable_from.insert(*lba, held.len() - 1);
-                    }
-                }
-            }
-        }
+        let mut history = History::new();
+        let now = run_until_crash(&mut system, &ops, crash_at, &mut history, |_, tag| block_for(tag));
+        // Barrier-covered blocks may only roll forward of their durable
+        // version; never-barriered ones may come back as anything they held.
         let mut recovered = system.crash_and_recover();
-        for (lba, held) in versions {
-            let req = Request::read(Lba::new(lba), now);
-            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = recovered.submit(&req, &mut ctx);
-            now = completion.finished;
-            let got = &completion.data[0];
-            match durable_from.get(&lba) {
-                // Barrier-covered: only the durable version or something
-                // newer is acceptable — rolling back past the barrier
-                // breaks the await_flush contract.
-                Some(&idx) => prop_assert!(
-                    held[idx..].contains(got),
-                    "lba {lba}: rolled back behind its barrier"
-                ),
-                // Never barriered: any held version (or pre-history zeroes)
-                // is a legitimate crash outcome.
-                None => prop_assert!(
-                    held.contains(got) || *got == BlockBuf::zeroed(),
-                    "lba {lba}: recovered to a value it never held"
-                ),
-            }
-        }
+        check_recovery(&mut recovered, &mut history, now, Accept::Durable);
     }
-}
-
-/// Valid-or-typed oracle for the death properties: a read is acceptable if
-/// it failed with a typed error, returned pre-history zeroes, or returned
-/// any version the block legitimately acknowledged.
-fn acceptable(versions: &HashMap<u64, Vec<BlockBuf>>, lba: u64, got: &BlockBuf) -> bool {
-    *got == BlockBuf::zeroed() || versions.get(&lba).is_some_and(|held| held.contains(got))
 }
 
 /// Address span for the death-driving traffic. Deliberately wider than the
@@ -431,7 +338,10 @@ proptest! {
         let mut system = Icash::new(cfg).with_fault_plan(plan);
         let mut cpu = CpuModel::xeon();
         let backing = ZeroSource;
-        let mut versions: HashMap<u64, Vec<BlockBuf>> = HashMap::new();
+        // Only acknowledged writes join the acceptable set: a typed refusal
+        // must leave the block on its old versions. Every read is
+        // valid-or-typed: any acknowledged version, or pre-history zeroes.
+        let mut history = History::new();
         let mut now = Ns::ZERO;
         for op in &ops {
             let hdd_down = system
@@ -440,29 +350,17 @@ proptest! {
                 .is_some_and(|h| h.hdd == HealthState::Failed);
             match op {
                 SysOp::Write { lba, tag } => {
-                    let content = block_for(*tag);
-                    let req = Request::write(Lba::new(*lba), now, content.clone());
                     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    let completion = system.submit(&req, &mut ctx);
-                    now = completion.finished;
-                    // Only acknowledged writes join the history: a typed
-                    // refusal must leave the block on its old versions.
-                    if !completion.failed(Lba::new(*lba)) {
-                        versions.entry(*lba).or_default().push(content);
-                    }
+                    now = history
+                        .write_content(&mut system, &mut ctx, *lba, now, block_for(*tag))
+                        .finished;
                 }
                 SysOp::Read { lba } => {
-                    let req = Request::read(Lba::new(*lba), now);
                     let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                    let completion = system.submit(&req, &mut ctx);
-                    now = completion.finished;
-                    if !completion.failed(Lba::new(*lba)) {
-                        prop_assert!(
-                            acceptable(&versions, *lba, &completion.data[0]),
-                            "lba {}: degraded read returned a value it never held",
-                            lba
-                        );
-                    }
+                    now = history
+                        .read(&mut system, &mut ctx, *lba, now, Accept::Acknowledged)
+                        .finished;
+                    prop_assert!(history.violations.is_empty(), "degraded read: {:?}", history.violations);
                 }
                 // A barrier against a failed home disk is a liveness
                 // question, not this property's (safety) contract: skip.
@@ -483,28 +381,14 @@ proptest! {
         let mut reached = false;
         for extra in 0..2_500u64 {
             let lba = fault_roll(seed, 0xD1E5, extra, 0) % DRIVE_SPAN;
-            if fault_roll(seed, 0xD1E6, extra, lba) % 5 < 3 {
+            let mut ctx = IoCtx::verifying(&backing, &mut cpu);
+            now = if fault_roll(seed, 0xD1E6, extra, lba) % 5 < 3 {
                 let content = block_for((extra ^ lba) as u8);
-                let req = Request::write(Lba::new(lba), now, content.clone());
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&req, &mut ctx);
-                now = completion.finished;
-                if !completion.failed(Lba::new(lba)) {
-                    versions.entry(lba).or_default().push(content);
-                }
+                history.write_content(&mut system, &mut ctx, lba, now, content).finished
             } else {
-                let req = Request::read(Lba::new(lba), now);
-                let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&req, &mut ctx);
-                now = completion.finished;
-                if !completion.failed(Lba::new(lba)) {
-                    prop_assert!(
-                        acceptable(&versions, lba, &completion.data[0]),
-                        "lba {}: read under failing device returned foreign data",
-                        lba
-                    );
-                }
-            }
+                history.read(&mut system, &mut ctx, lba, now, Accept::Acknowledged).finished
+            };
+            prop_assert!(history.violations.is_empty(), "failing device: {:?}", history.violations);
             let health = system.report(now).health.expect("health enabled");
             let state = if kill_hdd { health.hdd } else { health.ssd };
             if state == HealthState::Failed {
@@ -550,17 +434,11 @@ proptest! {
             let mut healthy = false;
             for extra in 0..2_500u64 {
                 let lba = fault_roll(seed, 0x4EA1, extra, 0) % DRIVE_SPAN;
-                let req = Request::read(Lba::new(lba), now);
                 let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&req, &mut ctx);
-                now = completion.finished;
-                if !completion.failed(Lba::new(lba)) {
-                    prop_assert!(
-                        acceptable(&versions, lba, &completion.data[0]),
-                        "lba {}: read during rebuild returned foreign data",
-                        lba
-                    );
-                }
+                now = history
+                    .read(&mut system, &mut ctx, lba, now, Accept::Acknowledged)
+                    .finished;
+                prop_assert!(history.violations.is_empty(), "rebuild: {:?}", history.violations);
                 let health = system.report(now).health.expect("health enabled");
                 if health.ssd == HealthState::Healthy {
                     healthy = true;
@@ -573,38 +451,29 @@ proptest! {
             for probe in 0..8u64 {
                 let lba = fault_roll(seed, 0xF4E5, probe, 2) % SPAN;
                 let content = block_for(probe.wrapping_mul(37) as u8);
-                let w = Request::write(Lba::new(lba), now, content.clone());
                 let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-                let completion = system.submit(&w, &mut ctx);
+                let completion = history.write_content(&mut system, &mut ctx, lba, now, content);
                 now = completion.finished;
                 prop_assert!(!completion.failed(Lba::new(lba)), "healthy write refused");
-                versions.entry(lba).or_default().push(content.clone());
-                let r = Request::read(Lba::new(lba), now);
-                let completion = system.submit(&r, &mut ctx);
+                let completion = history.read(&mut system, &mut ctx, lba, now, Accept::Latest);
                 now = completion.finished;
                 prop_assert!(!completion.failed(Lba::new(lba)), "healthy read failed");
-                prop_assert_eq!(
-                    &completion.data[0],
-                    &content,
-                    "post-rebuild readback was stale"
+                prop_assert!(
+                    history.violations.is_empty(),
+                    "post-rebuild readback was stale: {:?}",
+                    history.violations
                 );
             }
         }
         // Final sweep over everything ever acknowledged: valid-or-typed,
         // and the controller's internal structures still cross-check.
-        for (&lba, _) in &versions {
-            let req = Request::read(Lba::new(lba), now);
+        for lba in history.acknowledged() {
             let mut ctx = IoCtx::verifying(&backing, &mut cpu);
-            let completion = system.submit(&req, &mut ctx);
-            now = completion.finished;
-            if !completion.failed(Lba::new(lba)) {
-                prop_assert!(
-                    acceptable(&versions, lba, &completion.data[0]),
-                    "lba {}: final sweep read a value never held",
-                    lba
-                );
-            }
+            now = history
+                .read(&mut system, &mut ctx, lba, now, Accept::Acknowledged)
+                .finished;
         }
+        prop_assert!(history.violations.is_empty(), "final sweep: {:?}", history.violations);
         system.debug_validate();
     }
 }

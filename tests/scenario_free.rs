@@ -14,8 +14,8 @@ use icash::metrics::trace::{parse_jsonl, JsonlSink, TraceProfile};
 use icash::storage::trace::{TraceSink, Tracer};
 use icash::storage::{Ns, StorageSystem};
 use icash::workloads::content::ContentModel;
-use icash::workloads::driver::{run_benchmark, DriverConfig};
-use icash::workloads::scenario::{run_open_loop, ArrivalShape, OpenLoopConfig};
+use icash::workloads::driver::{run_benchmark, run_paced, DriverConfig, OpenLoop, Pacing};
+use icash::workloads::scenario::ArrivalShape;
 use icash::workloads::workload::MixedWorkload;
 use icash::workloads::WorkloadSpec;
 
@@ -98,9 +98,21 @@ fn open_loop_burst_shows_its_queueing_in_the_profile() {
     ));
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
-    let mut cfg = OpenLoopConfig::new(ArrivalShape::Burst.config(Ns::from_ns(200)), OPS, SEED);
-    cfg.clients = 1;
-    let (summary, stats) = run_open_loop(&mut sys, &mut wl, &mut model, &cfg, &Tracer::disabled());
+    let cfg = DriverConfig::new(OPS).clients(1);
+    let pacing = |tracer| {
+        Pacing::Open(OpenLoop {
+            arrival: ArrivalShape::Burst.config(Ns::from_ns(200)),
+            seed: SEED,
+            tracer,
+        })
+    };
+    let (summary, stats) = run_paced(
+        &mut sys,
+        &mut wl,
+        &mut model,
+        &cfg,
+        &pacing(Tracer::disabled()),
+    );
     assert_eq!(summary.ops, OPS);
     assert!(
         stats.queued > Ns::ZERO,
@@ -113,7 +125,7 @@ fn open_loop_burst_shows_its_queueing_in_the_profile() {
     let mut wl = MixedWorkload::new(spec.clone(), SEED);
     let mut model = ContentModel::new(SEED, spec.profile.clone());
     let tracer = Tracer::to_sink(sink.clone() as Arc<Mutex<dyn TraceSink + Send>>);
-    let (_, stats) = run_open_loop(&mut sys, &mut wl, &mut model, &cfg, &tracer);
+    let (_, stats) = run_paced(&mut sys, &mut wl, &mut model, &cfg, &pacing(tracer));
     let text = sink.lock().expect("jsonl sink").take_text();
     let events = parse_jsonl(&text).expect("traced stream parses");
     let profile = TraceProfile::from_events(&events);

@@ -2,7 +2,8 @@
 # Repo CI gate. Everything here must pass before a change merges.
 # Runs fully offline: all third-party deps are vendored under crates/.
 #
-#   ./ci.sh         the merge gate (fmt, clippy, build, tests, bench smoke)
+#   ./ci.sh         the merge gate (fmt, clippy, build, run_all --only
+#                   smoke, tests, bench smoke)
 #   ./ci.sh bench   hot-path trajectory: run the codec + controller benches
 #                   and diff them against the committed BENCH_codec.json
 #                   baseline (tolerance band via BENCH_TOLERANCE, default 4x)
@@ -244,6 +245,15 @@ cargo clippy -q -p icash-core --no-deps -- -D warnings -D clippy::unwrap_used
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> run_all --only fig13: one exhibit, its five SPECsfs cells"
+cargo build -q --release -p icash-bench
+ICASH_OPS=300 ICASH_THREADS=1 \
+  ./target/release/run_all target/run_all_fig13.md --only fig13 2> /dev/null
+grep -q "Figure 13" target/run_all_fig13.md
+test "$(grep -c "Figure 6(a)" target/run_all_fig13.md)" -eq 0
+grep -q "^5 cells," target/run_all_fig13.md
+test "$(grep -c " ops/s |$" target/run_all_fig13.md)" -eq 5
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace

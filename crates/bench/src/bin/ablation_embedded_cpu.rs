@@ -12,7 +12,6 @@
 use icash_core::{Icash, IcashConfig};
 use icash_metrics::report::table;
 use icash_storage::cpu::{CpuCosts, CpuModel};
-use icash_storage::time::Ns;
 use icash_workloads::content::ContentModel;
 use icash_workloads::driver::{run_benchmark, DriverConfig};
 use icash_workloads::sysbench;
@@ -64,7 +63,6 @@ fn main() {
             format!("{:.1}", s.write_mean_us()),
             format!("{:.2}%", s.storage_cpu_utilization * 100.0),
         ]);
-        let _ = Ns::ZERO;
     }
     print!(
         "{}",

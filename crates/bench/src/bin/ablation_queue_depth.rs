@@ -26,6 +26,9 @@ use icash_workloads::driver::{run_benchmark, DriverConfig};
 use icash_workloads::sysbench;
 use icash_workloads::trace::{Trace, TracePlayer};
 
+/// RAM divisor below the stock spec (the SSD keeps its stock budget).
+const RAM_DIV: u64 = 8;
+
 /// The sweep: queue-off, then doubling depths under SPTF.
 const DEPTHS: [Option<u32>; 7] = [None, Some(1), Some(2), Some(4), Some(8), Some(16), Some(32)];
 
@@ -65,11 +68,9 @@ fn main() {
     let mut spec = base.scaled_to_ops(ops);
     // Tighten RAM below the stock spec: eviction pressure turns into spill
     // batches and home-area reads — the submission streams the device
-    // queues schedule. The divisors are overridable for sensitivity runs.
-    let rdiv = icash_bench::cli::u64_from_env("ICASH_ABL_RAM_DIV", 8);
-    let sdiv = icash_bench::cli::u64_from_env("ICASH_ABL_SSD_DIV", 1);
-    spec.ram_bytes = (spec.ram_bytes / rdiv.max(1)).max(1 << 20);
-    spec.ssd_bytes = (spec.ssd_bytes / sdiv.max(1)).max(1 << 20);
+    // queues schedule.
+    spec.ram_bytes = (spec.ram_bytes / RAM_DIV).max(1 << 20);
+    spec.ssd_bytes = spec.ssd_bytes.max(1 << 20);
     let mut source = icash_workloads::MixedWorkload::new(spec.clone(), 1);
     let trace = Trace::record(&mut source, ops);
 

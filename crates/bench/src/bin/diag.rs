@@ -14,7 +14,7 @@ use icash_workloads::workload::Workload;
 use icash_workloads::{hadoop, loadsim, rubis, specsfs, sysbench, tpcc};
 
 fn main() {
-    let which = icash_bench::harness::positional_args()
+    let which = icash_bench::cli::positional_args()
         .into_iter()
         .next()
         .unwrap_or_else(|| "sysbench".into());
@@ -30,7 +30,7 @@ fn main() {
         other => panic!("unknown workload {other}"),
     };
     let cfg = ExperimentConfig::from_env(&base);
-    let spec = cfg.scaled_spec(&base);
+    let spec = base.scaled_to_ops(cfg.ops);
     eprintln!(
         "diag {}: {} ops, {} clients, data {} MB, ssd {} MB, ram {} MB",
         spec.name,

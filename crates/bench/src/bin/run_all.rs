@@ -1,34 +1,37 @@
 //! Regenerates every figure and table of the paper's evaluation in one run
 //! and emits a Markdown report (for EXPERIMENTS.md).
 //!
-//! Usage: `run_all [output.md] [--trace trace.jsonl]` — honours
-//! `ICASH_OPS` / `ICASH_FULL=1`.
+//! Usage: `run_all [output.md] [--only <sel>[,<sel>...]] [--trace trace.jsonl]`
+//! — honours `ICASH_OPS` / `ICASH_FULL=1`. `--only` reports just the
+//! selected exhibits (`fig06` … `fig16`, `tab05`, `tab06`; see
+//! `icash_bench::exhibits`) and runs only the workloads they read.
 
-use icash_bench::harness::{cell_table, positional_args, run_plan, PlannedWorkload};
-use icash_metrics::report::{metric_rows, normalize};
-use icash_metrics::summary::RunSummary;
-use icash_workloads::vm::{rubis_five_vms, tpcc_five_vms};
-use icash_workloads::{hadoop, loadsim, rubis, specsfs, sysbench, tpcc};
+use icash_bench::cli::{only_from_args, positional_args};
+use icash_bench::exhibits::{self, Exhibit};
+use icash_bench::harness::{cell_table, run_plan, PlannedWorkload};
 use std::fmt::Write as _;
 
-struct Exhibit {
-    title: String,
-    unit: String,
-    paper: Vec<(&'static str, f64)>,
-    measured: Vec<(String, f64)>,
-    higher_better: bool,
+/// The system with the best value in `rows`: the first maximum when
+/// `higher_better`, else the last minimum.
+fn winner<S: AsRef<str>>(rows: &[(S, f64)], higher_better: bool) -> String {
+    let mut rows: Vec<(&str, f64)> = rows.iter().map(|(n, v)| (n.as_ref(), *v)).collect();
+    rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
+    if !higher_better {
+        rows.reverse();
+    }
+    rows.first().map(|r| r.0.to_string()).unwrap_or_default()
 }
 
-fn md_table(out: &mut String, ex: &Exhibit) {
+/// Renders one exhibit; returns whether the measured winner is the paper's.
+fn md_table(out: &mut String, ex: &Exhibit, measured: &[(String, f64)]) -> bool {
     let _ = writeln!(out, "### {}\n", ex.title);
     let _ = writeln!(
         out,
         "| System | Paper ({unit}) | Measured ({unit}) |\n|---|---:|---:|",
         unit = ex.unit
     );
-    for (name, paper_v) in &ex.paper {
-        let measured = ex
-            .measured
+    for (name, paper_v) in ex.paper {
+        let measured = measured
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
@@ -36,19 +39,8 @@ fn md_table(out: &mut String, ex: &Exhibit) {
         let _ = writeln!(out, "| {name} | {paper_v:.2} | {measured:.2} |");
     }
     // Shape check: does the measured winner match the paper's?
-    let best = |rows: &[(String, f64)]| -> String {
-        let mut rows: Vec<_> = rows.to_vec();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-        if ex.higher_better {
-            rows.first().map(|r| r.0.clone()).unwrap_or_default()
-        } else {
-            rows.last().map(|r| r.0.clone()).unwrap_or_default()
-        }
-    };
-    let paper_rows: Vec<(String, f64)> =
-        ex.paper.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-    let paper_best = best(&paper_rows);
-    let measured_best = best(&ex.measured);
+    let paper_best = winner(ex.paper, ex.higher_better);
+    let measured_best = winner(measured, ex.higher_better);
     let _ = writeln!(
         out,
         "\n*Paper winner: **{paper_best}**; measured winner: **{measured_best}**{}*\n",
@@ -58,6 +50,31 @@ fn md_table(out: &mut String, ex: &Exhibit) {
             " — deviation, see notes."
         }
     );
+    paper_best == measured_best
+}
+
+/// Table 4 from the unscaled specs of the planned workloads.
+fn table4(out: &mut String, plan: &[PlannedWorkload]) {
+    let _ = writeln!(
+        out,
+        "### Table 4. Characteristics of benchmarks\n\n\
+         | Name | #Read | #Write | AvgRead | AvgWrite | DataSize | VM RAM |\n\
+         |---|---:|---:|---:|---:|---:|---:|"
+    );
+    for s in plan.iter().map(PlannedWorkload::spec) {
+        let _ = writeln!(
+            out,
+            "| {} | {}K | {}K | {}B | {}B | {:.1}GB | {}MB |",
+            s.name,
+            s.table4_reads / 1000,
+            s.table4_writes / 1000,
+            s.avg_read_bytes,
+            s.avg_write_bytes,
+            s.data_bytes as f64 / (1 << 30) as f64,
+            s.vm_ram_bytes >> 20
+        );
+    }
+    out.push('\n');
 }
 
 const NOTES: &str = r#"
@@ -120,6 +137,13 @@ and scale gates), so nothing in this report moves unless
 "#;
 
 fn main() {
+    let selected = match exhibits::select(only_from_args().as_deref()) {
+        Ok(selected) => selected,
+        Err(msg) => {
+            eprintln!("run_all: {msg}");
+            std::process::exit(2);
+        }
+    };
     let out_path = positional_args().into_iter().next();
     let mut md = String::new();
     let _ = writeln!(
@@ -131,340 +155,31 @@ fn main() {
          simulator-scale, the reproduction target is the *shape* — ordering,\n\
          rough factors, crossovers. `ICASH_FULL=1` runs the Table 4 op counts.\n"
     );
-    let mut exhibits: Vec<Exhibit> = Vec::new();
 
     // One plan, one worker pool: every (system x workload) cell below runs
     // concurrently on its own virtual clock (ICASH_THREADS workers).
-    let plan = [
-        PlannedWorkload::Standard(sysbench::spec()),
-        PlannedWorkload::Standard(hadoop::spec()),
-        PlannedWorkload::Standard(tpcc::spec()),
-        PlannedWorkload::Standard(loadsim::spec()),
-        PlannedWorkload::Standard(specsfs::spec()),
-        PlannedWorkload::Standard(rubis::spec()),
-        PlannedWorkload::MultiVm(tpcc_five_vms),
-        PlannedWorkload::MultiVm(rubis_five_vms),
-    ];
+    let workloads = exhibits::workloads(&selected);
+    let plan: Vec<PlannedWorkload> = workloads.iter().map(|w| w.plan()).collect();
+    table4(&mut md, &plan);
     let results = run_plan(&plan);
     let cells = cell_table(&results);
     eprintln!("{cells}");
 
-    // --- SysBench: Figs 6a, 6b, 7 ----------------------------------------
-    let (_, sys_runs) = &results[0];
-    exhibits.push(Exhibit {
-        title: "Figure 6(a). SysBench transaction rate".into(),
-        unit: "tx/s".into(),
-        paper: vec![
-            ("FusionIO", 180.0),
-            ("RAID0", 85.0),
-            ("Dedup", 161.0),
-            ("LRU", 175.0),
-            ("I-CASH", 190.0),
-        ],
-        measured: metric_rows(sys_runs, RunSummary::transactions_per_sec),
-        higher_better: true,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 6(b). SysBench CPU utilization".into(),
-        unit: "%".into(),
-        paper: vec![
-            ("FusionIO", 52.0),
-            ("RAID0", 53.0),
-            ("Dedup", 53.0),
-            ("LRU", 56.0),
-            ("I-CASH", 55.0),
-        ],
-        measured: metric_rows(sys_runs, |s| s.cpu_utilization * 100.0),
-        higher_better: true,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 7. SysBench read response time".into(),
-        unit: "us".into(),
-        paper: vec![
-            ("FusionIO", 35.0),
-            ("RAID0", 192.0),
-            ("Dedup", 71.0),
-            ("LRU", 36.0),
-            ("I-CASH", 18.0),
-        ],
-        measured: metric_rows(sys_runs, RunSummary::read_mean_us),
-        higher_better: false,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 7. SysBench write response time".into(),
-        unit: "us".into(),
-        paper: vec![
-            ("FusionIO", 75.0),
-            ("RAID0", 1156.0),
-            ("Dedup", 106.0),
-            ("LRU", 122.0),
-            ("I-CASH", 7.0),
-        ],
-        measured: metric_rows(sys_runs, RunSummary::write_mean_us),
-        higher_better: false,
-    });
-
-    // --- Hadoop: Figs 8a, 8b, 9 ------------------------------------------
-    let (_, had_runs) = &results[1];
-    exhibits.push(Exhibit {
-        title: "Figure 8(a). Hadoop execution time".into(),
-        unit: "s (scaled)".into(),
-        paper: vec![
-            ("FusionIO", 24.0),
-            ("RAID0", 32.0),
-            ("Dedup", 26.0),
-            ("LRU", 25.0),
-            ("I-CASH", 18.0),
-        ],
-        measured: metric_rows(had_runs, |s| s.elapsed.as_secs_f64()),
-        higher_better: false,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 8(b). Hadoop CPU utilization".into(),
-        unit: "%".into(),
-        paper: vec![
-            ("FusionIO", 83.0),
-            ("RAID0", 73.0),
-            ("Dedup", 82.0),
-            ("LRU", 84.0),
-            ("I-CASH", 86.0),
-        ],
-        measured: metric_rows(had_runs, |s| s.cpu_utilization * 100.0),
-        higher_better: true,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 9. Hadoop write response time".into(),
-        unit: "us".into(),
-        paper: vec![
-            ("FusionIO", 7301.0),
-            ("RAID0", 3244.0),
-            ("Dedup", 7520.0),
-            ("LRU", 7405.0),
-            ("I-CASH", 586.0),
-        ],
-        measured: metric_rows(had_runs, RunSummary::write_mean_us),
-        higher_better: false,
-    });
-
-    // --- TPC-C: Figs 10a, 10b, 11 ----------------------------------------
-    let (tpcc_spec, tpcc_runs) = &results[2];
-    exhibits.push(Exhibit {
-        title: "Figure 10(a). TPC-C transaction rate".into(),
-        unit: "tx/s".into(),
-        paper: vec![
-            ("FusionIO", 51.0),
-            ("RAID0", 40.0),
-            ("Dedup", 49.0),
-            ("LRU", 50.0),
-            ("I-CASH", 58.0),
-        ],
-        measured: metric_rows(tpcc_runs, RunSummary::transactions_per_sec),
-        higher_better: true,
-    });
-    exhibits.push(Exhibit {
-        title: "Figure 10(b). TPC-C CPU utilization".into(),
-        unit: "%".into(),
-        paper: vec![
-            ("FusionIO", 51.0),
-            ("RAID0", 41.0),
-            ("Dedup", 52.0),
-            ("LRU", 61.0),
-            ("I-CASH", 62.0),
-        ],
-        measured: metric_rows(tpcc_runs, |s| s.cpu_utilization * 100.0),
-        higher_better: true,
-    });
-    let per_tx = tpcc_spec.ops_per_transaction as f64;
-    exhibits.push(Exhibit {
-        title: "Figure 11. TPC-C application response time".into(),
-        unit: "ms".into(),
-        paper: vec![
-            ("FusionIO", 6.6),
-            ("RAID0", 14.0),
-            ("Dedup", 12.0),
-            ("LRU", 7.1),
-            ("I-CASH", 2.6),
-        ],
-        measured: metric_rows(tpcc_runs, |s| s.mean_response_ms() * per_tx),
-        higher_better: false,
-    });
-
-    // --- LoadSim: Fig 12 ---------------------------------------------------
-    let (_, load_runs) = &results[3];
-    exhibits.push(Exhibit {
-        title: "Figure 12. LoadSim score (lower is better)".into(),
-        unit: "score".into(),
-        paper: vec![
-            ("FusionIO", 1803.0),
-            ("RAID0", 5340.0),
-            ("Dedup", 3259.0),
-            ("LRU", 3002.0),
-            ("I-CASH", 2263.0),
-        ],
-        measured: metric_rows(load_runs, |s| (4.0 + s.mean_response_ms()) * 420.0),
-        higher_better: false,
-    });
-
-    // --- SPECsfs: Fig 13 ---------------------------------------------------
-    let (_, sfs_runs) = &results[4];
-    exhibits.push(Exhibit {
-        title: "Figure 13. SPEC-sfs response time".into(),
-        unit: "ms".into(),
-        paper: vec![
-            ("FusionIO", 1.4),
-            ("RAID0", 1.8),
-            ("Dedup", 2.1),
-            ("LRU", 2.1),
-            ("I-CASH", 1.5),
-        ],
-        measured: metric_rows(sfs_runs, |s| 1.2 + s.mean_response_ms()),
-        higher_better: false,
-    });
-
-    // --- RUBiS: Fig 14 -----------------------------------------------------
-    let (_, rubis_runs) = &results[5];
-    exhibits.push(Exhibit {
-        title: "Figure 14. RUBiS request rate".into(),
-        unit: "req/s".into(),
-        paper: vec![
-            ("FusionIO", 84.0),
-            ("RAID0", 48.0),
-            ("Dedup", 59.0),
-            ("LRU", 73.0),
-            ("I-CASH", 76.0),
-        ],
-        measured: metric_rows(rubis_runs, RunSummary::transactions_per_sec),
-        higher_better: true,
-    });
-
-    // --- Figures 15/16: multi-VM -------------------------------------------
-    let (_, vm_tpcc) = &results[6];
-    exhibits.push(Exhibit {
-        title: "Figure 15. Five TPC-C VMs, normalized tx rate".into(),
-        unit: "x FusionIO".into(),
-        paper: vec![
-            ("FusionIO", 1.0),
-            ("RAID0", 0.4),
-            ("Dedup", 0.5),
-            ("LRU", 0.4),
-            ("I-CASH", 2.8),
-        ],
-        measured: normalize(
-            &metric_rows(vm_tpcc, RunSummary::transactions_per_sec),
-            "FusionIO",
-        ),
-        higher_better: true,
-    });
-    let (_, vm_rubis) = &results[7];
-    exhibits.push(Exhibit {
-        title: "Figure 16. Five RUBiS VMs, normalized request rate".into(),
-        unit: "x FusionIO".into(),
-        paper: vec![
-            ("FusionIO", 1.0),
-            ("RAID0", 0.2),
-            ("Dedup", 0.3),
-            ("LRU", 0.3),
-            ("I-CASH", 1.2),
-        ],
-        measured: normalize(
-            &metric_rows(vm_rubis, RunSummary::transactions_per_sec),
-            "FusionIO",
-        ),
-        higher_better: true,
-    });
-
-    // --- Table 5: energy ----------------------------------------------------
-    exhibits.push(Exhibit {
-        title: "Table 5 (Hadoop column). Energy".into(),
-        unit: "Wh (scaled)".into(),
-        paper: vec![
-            ("FusionIO", 8.0),
-            ("RAID0", 24.0),
-            ("Dedup", 10.0),
-            ("LRU", 10.0),
-            ("I-CASH", 7.0),
-        ],
-        measured: metric_rows(had_runs, |s| s.energy_wh),
-        higher_better: false,
-    });
-    exhibits.push(Exhibit {
-        title: "Table 5 (TPC-C column). Energy".into(),
-        unit: "Wh (scaled)".into(),
-        paper: vec![
-            ("FusionIO", 11.0),
-            ("RAID0", 28.0),
-            ("Dedup", 11.0),
-            ("LRU", 12.0),
-            ("I-CASH", 11.0),
-        ],
-        measured: metric_rows(tpcc_runs, |s| s.energy_wh),
-        higher_better: false,
-    });
-
-    // --- Table 6: SSD writes -------------------------------------------------
-    for (name, runs, paper) in [
-        (
-            "SysBench",
-            &sys_runs,
-            [893_700.0, 1_419_023.0, 1_494_220.0, 232_452.0],
-        ),
-        (
-            "Hadoop",
-            &had_runs,
-            [2_540_124.0, 3_082_196.0, 3_469_785.0, 1_521_399.0],
-        ),
-        (
-            "TPC-C",
-            &tpcc_runs,
-            [1_173_741.0, 1_963_988.0, 2_051_511.0, 359_919.0],
-        ),
-        (
-            "SPECsfs",
-            &sfs_runs,
-            [5_752_436.0, 5_559_698.0, 5_514_935.0, 5_096_890.0],
-        ),
-    ] {
-        exhibits.push(Exhibit {
-            title: format!("Table 6 ({name} column). SSD write requests"),
-            unit: "writes".into(),
-            paper: vec![
-                ("FusionIO", paper[0]),
-                ("Dedup", paper[1]),
-                ("LRU", paper[2]),
-                ("I-CASH", paper[3]),
-            ],
-            measured: metric_rows(runs, |s| s.ssd_writes as f64)
-                .into_iter()
-                .filter(|(n, _)| n != "RAID0")
-                .collect(),
-            higher_better: false,
-        });
-    }
-
     let mut reproduced = 0;
-    for ex in &exhibits {
-        md_table(&mut md, ex);
-    }
-    for ex in &exhibits {
-        let best = |rows: &[(String, f64)], hb: bool| -> String {
-            let mut rows: Vec<_> = rows.to_vec();
-            rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-            if hb {
-                rows.first().map(|r| r.0.clone()).unwrap_or_default()
-            } else {
-                rows.last().map(|r| r.0.clone()).unwrap_or_default()
-            }
-        };
-        let paper_rows: Vec<(String, f64)> =
-            ex.paper.iter().map(|(n, v)| (n.to_string(), *v)).collect();
-        if best(&paper_rows, ex.higher_better) == best(&ex.measured, ex.higher_better) {
+    for ex in &selected {
+        let i = workloads
+            .iter()
+            .position(|w| *w == ex.workload)
+            .expect("the plan holds every selected exhibit's workload");
+        let (spec, runs) = &results[i];
+        if md_table(&mut md, ex, &ex.measure(spec, runs)) {
             reproduced += 1;
         }
     }
     let _ = writeln!(
         md,
         "\n**Winner-shape summary: {reproduced}/{} exhibits reproduce the paper's winner.**",
-        exhibits.len()
+        selected.len()
     );
     let _ = writeln!(md, "\n## Harness cell timings\n\n{cells}");
     md.push_str(NOTES);

@@ -25,7 +25,8 @@
 //! synchronous campaign.
 
 use icash_baselines::{DedupCache, LruCache, PureSsd, Raid0};
-use icash_bench::harness::{attach_jsonl, trace_path_from_args};
+use icash_bench::cli::trace_path_from_args;
+use icash_bench::harness::attach_jsonl;
 use icash_core::{Icash, IcashConfig};
 use icash_storage::cpu::CpuModel;
 use icash_storage::fault::{fault_roll, FaultPlan, FaultStats};

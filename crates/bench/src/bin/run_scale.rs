@@ -48,7 +48,7 @@ fn main() {
 
     let doc = scale::document(&spec, ops, seed, &cells);
     print!("{doc}");
-    if let Some(path) = harness::positional_args().into_iter().next() {
+    if let Some(path) = cli::positional_args().into_iter().next() {
         match std::fs::write(&path, &doc) {
             Ok(()) => eprintln!("campaign document written to {path}"),
             Err(err) => {

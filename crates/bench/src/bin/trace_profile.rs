@@ -20,7 +20,7 @@
 use icash_metrics::trace::{parse_jsonl, split_by_shard, TraceProfile};
 
 fn main() {
-    let path = match icash_bench::harness::positional_args().into_iter().next() {
+    let path = match icash_bench::cli::positional_args().into_iter().next() {
         Some(p) => p,
         None => {
             eprintln!("usage: trace_profile <trace.jsonl>");

@@ -1,51 +1,78 @@
-//! Shared command-line and environment handling for the exhibit binaries.
+//! Shared command-line and environment handling for the bench binaries.
 //!
 //! Every binary accepts the same tracing flag and the same environment
-//! overrides; this module is the single implementation (the bins used to
-//! copy-paste the `--trace` extraction). All parsing is strict: a typo'd
-//! override panics with a clear message instead of silently falling back,
-//! because a "full reproduction" run that quietly ran with defaults would
-//! invalidate the numbers it claims to reproduce.
+//! overrides; this module is the single implementation. All parsing is
+//! strict: a typo'd override panics with a clear message instead of
+//! silently falling back, because a "full reproduction" run that quietly
+//! ran with defaults would invalidate the numbers it claims to reproduce.
 
 use icash_storage::fault::HealthPolicy;
 use icash_storage::queue::{QueueConfig, QueuePolicy};
 use icash_workloads::scenario::{ArrivalShape, ScenarioKind, ScenarioSpec};
 use std::path::PathBuf;
 
+/// Flags that take a value (`--flag <v>` or `--flag=<v>`); they and their
+/// values are not positional arguments.
+const VALUE_FLAGS: [&str; 2] = ["--trace", "--only"];
+
+/// The value of `flag` (`<flag> <v>` or `<flag>=<v>`) in `args`, if given;
+/// a trailing flag with no value yields `""`.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if arg == flag {
+            return Some(iter.next().cloned().unwrap_or_default());
+        }
+        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
+    }
+    None
+}
+
+/// `args` with every [`VALUE_FLAGS`] flag (and its value) removed.
+fn positional(args: &[String]) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            iter.next(); // the flag's value
+        } else if !VALUE_FLAGS
+            .iter()
+            .any(|f| arg.starts_with(&format!("{f}=")))
+        {
+            out.push(arg.clone());
+        }
+    }
+    out
+}
+
+fn args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
 /// The `--trace <path>` / `--trace=<path>` command-line flag, falling back
 /// to the `ICASH_TRACE` environment variable. `None` means tracing stays
 /// off and the run is bit-for-bit the untraced one.
 pub fn trace_path_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--trace" {
-            return iter.next().map(PathBuf::from);
-        }
-        if let Some(path) = arg.strip_prefix("--trace=") {
-            return Some(PathBuf::from(path));
-        }
-    }
-    std::env::var("ICASH_TRACE").ok().map(PathBuf::from)
+    flag_value(&args(), "--trace")
+        .filter(|path| !path.is_empty())
+        .or_else(|| std::env::var("ICASH_TRACE").ok())
+        .map(PathBuf::from)
 }
 
-/// Command-line arguments with the `--trace` flag (and its value) removed,
-/// so binaries can keep their positional arguments (output paths, workload
-/// names) oblivious to tracing.
+/// The `--only <sel>[,<sel>...]` command-line flag: `run_all`'s exhibit
+/// selection (see [`crate::exhibits::select`], which rejects an empty
+/// value). `None` selects everything.
+pub fn only_from_args() -> Option<String> {
+    flag_value(&args(), "--only")
+}
+
+/// Command-line arguments with the `--trace` and `--only` flags (and their
+/// values) removed, so binaries can keep their positional arguments (output
+/// paths, workload names) oblivious to them.
 pub fn positional_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let _ = args.next(); // the path value
-            continue;
-        }
-        if arg.starts_with("--trace=") {
-            continue;
-        }
-        out.push(arg);
-    }
-    out
+    positional(&args())
 }
 
 /// The `ICASH_OPS` override for binaries that own their op count (the
@@ -63,24 +90,6 @@ pub fn ops_from_env(default: u64) -> u64 {
             Err(_) => panic!(
                 "invalid ICASH_OPS={ops:?}: expected a positive integer number of operations"
             ),
-        },
-    }
-}
-
-/// A generic strict positive-integer environment override: `default` when
-/// the variable is unset, its parsed value otherwise.
-///
-/// # Panics
-///
-/// Panics when the variable is set but not a positive integer — silently
-/// falling back to the default would mask the typo.
-pub fn u64_from_env(var: &str, default: u64) -> u64 {
-    match std::env::var(var) {
-        Err(_) => default,
-        Ok(v) => match v.parse::<u64>() {
-            Ok(0) => panic!("invalid {var}=0: expected a positive integer"),
-            Ok(n) => n,
-            Err(_) => panic!("invalid {var}={v:?}: expected a positive integer"),
         },
     }
 }
@@ -319,6 +328,27 @@ mod tests {
 
     // Env-var tests mutate process state; keep them serialized by testing
     // distinct variables per test.
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn value_flags_are_not_positional() {
+        let args = strings(&["out.md", "--only", "fig13", "--trace=t.jsonl", "x"]);
+        assert_eq!(positional(&args), strings(&["out.md", "x"]));
+        assert_eq!(flag_value(&args, "--only").as_deref(), Some("fig13"));
+        assert_eq!(flag_value(&args, "--trace").as_deref(), Some("t.jsonl"));
+        let args = strings(&["--only=tab05,tab06", "--trace", "t.jsonl"]);
+        assert!(positional(&args).is_empty());
+        assert_eq!(flag_value(&args, "--only").as_deref(), Some("tab05,tab06"));
+        assert_eq!(flag_value(&args, "--trace").as_deref(), Some("t.jsonl"));
+        assert_eq!(flag_value(&strings(&["--onlyx"]), "--only"), None);
+        assert_eq!(
+            flag_value(&strings(&["--only"]), "--only").as_deref(),
+            Some("")
+        );
+    }
 
     #[test]
     fn ops_default_and_override() {

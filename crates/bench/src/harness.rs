@@ -1,9 +1,9 @@
 //! Shared experiment machinery.
 //!
-//! Every exhibit runs the same recorded operation trace against the five
-//! storage architectures of §4.4 — FusionIO (pure SSD), RAID0, Dedup, LRU,
-//! and I-CASH — under identical driver settings, then formats the results
-//! the way the paper's figure does.
+//! Every paper exhibit (see [`crate::exhibits`]) runs the same recorded
+//! operation trace against the five storage architectures of §4.4 —
+//! FusionIO (pure SSD), RAID0, Dedup, LRU, and I-CASH — under identical
+//! driver settings.
 //!
 //! ## Execution model
 //!
@@ -18,7 +18,7 @@
 //!
 //! ## Tracing
 //!
-//! Every binary built on [`run_plan`] / [`run_five_systems`] accepts
+//! Every binary built on [`run_plan`] accepts
 //! `--trace <path>` (or the `ICASH_TRACE` environment variable): each cell
 //! then records its structured event stream into a [`JsonlSink`] and the
 //! cells are concatenated — each under a `{"cell":...}` header line — into
@@ -211,13 +211,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// The proportionally scaled spec for this run (see
-    /// [`WorkloadSpec::scaled_to_ops`]); at full length it is the paper's
-    /// configuration unchanged.
-    pub fn scaled_spec(&self, spec: &WorkloadSpec) -> WorkloadSpec {
-        spec.scaled_to_ops(self.ops)
-    }
-
     /// Honours `ICASH_OPS` / `ICASH_FULL=1` environment overrides — plus
     /// the pipeline knobs `ICASH_GROUP_COMMIT` / `ICASH_FLUSH_TICKET` and
     /// the sharding knob `ICASH_SHARDS` — so the same binaries drive quick
@@ -241,15 +234,7 @@ impl ExperimentConfig {
                 }
             }
         }
-        if let Ok(ops) = std::env::var("ICASH_OPS") {
-            match ops.parse::<u64>() {
-                Ok(0) => panic!("invalid ICASH_OPS=0: the run must issue at least one operation"),
-                Ok(n) => cfg.ops = n,
-                Err(_) => panic!(
-                    "invalid ICASH_OPS={ops:?}: expected a positive integer number of operations"
-                ),
-            }
-        }
+        cfg.ops = crate::cli::ops_from_env(cfg.ops);
         cfg.group_commit_depth = crate::cli::group_commit_depth_from_env();
         cfg.flush_ticket = crate::cli::flush_ticket_from_env();
         cfg.shards = crate::cli::shards_from_env();
@@ -328,6 +313,7 @@ where
 // ----------------------------------------------------------------------
 
 /// One workload an exhibit wants run against all five systems.
+#[derive(Debug)]
 pub enum PlannedWorkload {
     /// A single-machine workload generated from the spec itself.
     Standard(WorkloadSpec),
@@ -337,11 +323,13 @@ pub enum PlannedWorkload {
     MultiVm(fn(u64) -> MultiVm),
 }
 
-impl std::fmt::Debug for PlannedWorkload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl PlannedWorkload {
+    /// The unscaled spec: the paper's Table 4 configuration of the
+    /// workload (for a five-VM plan, the aggregate's).
+    pub fn spec(&self) -> WorkloadSpec {
         match self {
-            PlannedWorkload::Standard(spec) => f.debug_tuple("Standard").field(&spec.name).finish(),
-            PlannedWorkload::MultiVm(_) => f.debug_tuple("MultiVm").finish(),
+            PlannedWorkload::Standard(spec) => spec.clone(),
+            PlannedWorkload::MultiVm(make) => make(0).spec().clone(),
         }
     }
 }
@@ -354,30 +342,13 @@ struct PreparedWorkload {
     universe: Vec<(u8, u64)>,
 }
 
-/// Builds a workload instance for one cell from its seed and scaled spec.
-type WorkloadFactory = Box<dyn Fn(u64, &WorkloadSpec) -> Box<dyn Workload>>;
-
 fn prepare(plan: &PlannedWorkload) -> PreparedWorkload {
-    let (base, make): (WorkloadSpec, WorkloadFactory) = match plan {
-        PlannedWorkload::Standard(spec) => (
-            spec.clone(),
-            Box::new(|seed, scaled: &WorkloadSpec| {
-                Box::new(icash_workloads::MixedWorkload::new(scaled.clone(), seed))
-                    as Box<dyn Workload>
-            }),
-        ),
-        PlannedWorkload::MultiVm(make) => {
-            let make = *make;
-            (
-                make(0).spec().clone(),
-                Box::new(move |seed, scaled: &WorkloadSpec| {
-                    Box::new(icash_workloads::vm::rescale(make, seed, scaled)) as Box<dyn Workload>
-                }),
-            )
-        }
-    };
-    let cfg = ExperimentConfig::from_env(&base);
-    let spec = cfg.scaled_spec(&base);
+    prepare_with(plan, ExperimentConfig::from_env(&plan.spec()))
+}
+
+/// Scales `plan` to `cfg` and records the op stream its cells replay.
+fn prepare_with(plan: &PlannedWorkload, cfg: ExperimentConfig) -> PreparedWorkload {
+    let spec = plan.spec().scaled_to_ops(cfg.ops);
     eprintln!(
         "running {}: {} ops x 5 systems ({} clients, data {} MB, ssd {} MB)",
         spec.name,
@@ -386,7 +357,14 @@ fn prepare(plan: &PlannedWorkload) -> PreparedWorkload {
         spec.data_bytes >> 20,
         spec.ssd_bytes >> 20
     );
-    let mut source = make(cfg.seed, &spec);
+    let mut source: Box<dyn Workload> = match plan {
+        PlannedWorkload::Standard(_) => {
+            Box::new(icash_workloads::MixedWorkload::new(spec.clone(), cfg.seed))
+        }
+        PlannedWorkload::MultiVm(make) => {
+            Box::new(icash_workloads::vm::rescale(*make, cfg.seed, &spec))
+        }
+    };
     let universe = source.address_universe();
     let trace = Trace::record(source.as_mut(), cfg.ops);
     PreparedWorkload {
@@ -515,14 +493,9 @@ pub fn attach_jsonl(system: &mut dyn StorageSystem) -> Arc<Mutex<JsonlSink>> {
     sink
 }
 
-// The `--trace` flag and `ICASH_*` environment handling live in
-// [`crate::cli`]; the re-exports keep the long-standing harness paths
-// working for the exhibit binaries.
-pub use crate::cli::{positional_args, trace_path_from_args};
-
-/// Renders traced results as one multi-cell JSONL document: each cell is a
-/// `{"cell":{...}}` header line followed by that cell's events.
-fn trace_document(results: &TracedResults) -> String {
+/// Writes traced results to `path` as one multi-cell JSONL document: each
+/// cell is a `{"cell":{...}}` header line followed by that cell's events.
+fn write_trace_artifact(path: &Path, results: &TracedResults) {
     let mut doc = String::new();
     for (spec, cells) in results {
         for (summary, text) in cells {
@@ -535,11 +508,6 @@ fn trace_document(results: &TracedResults) -> String {
             }
         }
     }
-    doc
-}
-
-fn write_trace_artifact(path: &Path, results: &TracedResults) {
-    let doc = trace_document(results);
     match std::fs::write(path, &doc) {
         Ok(()) => eprintln!("trace written to {}", path.display()),
         Err(err) => eprintln!("failed to write trace {}: {err}", path.display()),
@@ -552,14 +520,12 @@ fn write_trace_artifact(path: &Path, results: &TracedResults) {
 /// plan in order, the scaled spec and the five summaries in
 /// [`SystemKind::ALL`] order.
 pub fn run_plan(plans: &[PlannedWorkload]) -> Vec<(WorkloadSpec, Vec<RunSummary>)> {
-    match trace_path_from_args() {
-        None => strip_traces(run_plan_inner(plans, false)),
-        Some(path) => {
-            let results = run_plan_inner(plans, true);
-            write_trace_artifact(&path, &results);
-            strip_traces(results)
-        }
+    let trace_path = crate::cli::trace_path_from_args();
+    let results = run_plan_inner(plans, trace_path.is_some());
+    if let Some(path) = trace_path {
+        write_trace_artifact(&path, &results);
     }
+    strip_traces(results)
 }
 
 /// [`run_plan`] with tracing forced on: every cell additionally returns
@@ -590,7 +556,10 @@ fn strip_traces(results: TracedResults) -> Vec<(WorkloadSpec, Vec<RunSummary>)> 
 }
 
 fn run_plan_inner(plans: &[PlannedWorkload], traced: bool) -> TracedResults {
-    let prepared: Vec<PreparedWorkload> = plans.iter().map(prepare).collect();
+    run_prepared(plans.iter().map(prepare).collect(), traced)
+}
+
+fn run_prepared(prepared: Vec<PreparedWorkload>, traced: bool) -> TracedResults {
     let jobs: Vec<_> = prepared
         .iter()
         .flat_map(|prep| SystemKind::ALL.iter().map(move |&kind| (kind, prep)))
@@ -607,88 +576,6 @@ fn run_plan_inner(plans: &[PlannedWorkload], traced: bool) -> TracedResults {
             (prep.spec, cells)
         })
         .collect()
-}
-
-/// Runs one workload (built by `make_workload`) against all five systems
-/// and returns the summaries in [`SystemKind::ALL`] order.
-///
-/// The op stream is recorded once and replayed bit-identically per system;
-/// cells run on the shared worker pool (see the module docs).
-pub fn run_five_systems(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-) -> Vec<RunSummary> {
-    match trace_path_from_args() {
-        None => run_five_systems_inner(spec, cfg, make_workload, false)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect(),
-        Some(path) => {
-            let cells = run_five_systems_inner(spec, cfg, make_workload, true);
-            let results: TracedResults = vec![(spec.clone(), cells)];
-            write_trace_artifact(&path, &results);
-            let (_, cells) = results.into_iter().next().expect("one workload");
-            cells.into_iter().map(|(s, _)| s).collect()
-        }
-    }
-}
-
-/// [`run_five_systems`] with tracing forced on: each summary comes with
-/// the cell's JSONL event document.
-pub fn run_five_systems_traced(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-) -> Vec<(RunSummary, String)> {
-    run_five_systems_inner(spec, cfg, make_workload, true)
-        .into_iter()
-        .map(|(summary, text)| (summary, text.expect("traced run")))
-        .collect()
-}
-
-fn run_five_systems_inner(
-    spec: &WorkloadSpec,
-    cfg: &ExperimentConfig,
-    make_workload: impl Fn(u64) -> Box<dyn Workload>,
-    traced: bool,
-) -> Vec<(RunSummary, Option<String>)> {
-    let mut source = make_workload(cfg.seed);
-    let universe = source.address_universe();
-    let trace = Trace::record(source.as_mut(), cfg.ops);
-    let prep = PreparedWorkload {
-        spec: spec.clone(),
-        cfg: cfg.clone(),
-        trace,
-        universe,
-    };
-    let jobs: Vec<_> = SystemKind::ALL
-        .iter()
-        .map(|&kind| {
-            let prep = &prep;
-            move || run_cell_inner(kind, prep, traced)
-        })
-        .collect();
-    run_jobs(jobs)
-}
-
-/// The standard single-workload exhibit: scale per environment, announce,
-/// run the five systems. Returns the scaled spec and the summaries.
-pub fn standard_run(base: &WorkloadSpec) -> (WorkloadSpec, Vec<RunSummary>) {
-    run_plan(std::slice::from_ref(&PlannedWorkload::Standard(
-        base.clone(),
-    )))
-    .pop()
-    .expect("one plan in, one result out")
-}
-
-/// The multi-VM exhibit runner (Figures 15-16): `make` builds the 5-VM
-/// workload; the aggregate spec is scaled and the inner VMs rescaled with
-/// it.
-pub fn vm_run(make: fn(u64) -> MultiVm) -> (WorkloadSpec, Vec<RunSummary>) {
-    run_plan(std::slice::from_ref(&PlannedWorkload::MultiVm(make)))
-        .pop()
-        .expect("one plan in, one result out")
 }
 
 /// Formats the per-cell instrumentation table: ops replayed, virtual time
@@ -747,66 +634,46 @@ mod tests {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Runs SysBench on all five systems under an explicit `cfg`.
+    fn run_sysbench(cfg: ExperimentConfig, traced: bool) -> Vec<(RunSummary, Option<String>)> {
+        let plan = PlannedWorkload::Standard(sysbench::spec());
+        let mut results = run_prepared(vec![prepare_with(&plan, cfg)], traced);
+        results.pop().expect("one workload").1
+    }
+
+    fn cfg(ops: u64, clients: u32) -> ExperimentConfig {
+        ExperimentConfig {
+            ops,
+            clients,
+            seed: 7,
+            ..ExperimentConfig::quick(&sysbench::spec())
+        }
+    }
+
     #[test]
     fn five_systems_run_one_small_workload() {
-        let mut spec = sysbench::spec();
-        spec.data_bytes = 32 << 20;
-        spec.ssd_bytes = 4 << 20;
-        spec.ram_bytes = 1 << 20;
-        let cfg = ExperimentConfig {
-            ops: 2_000,
-            clients: 8,
-            seed: 7,
-            group_commit_depth: 1,
-            flush_ticket: false,
-            shards: 1,
-            health: None,
-            queue: None,
-            scenario: None,
-        };
-        let spec_clone = spec.clone();
-        let summaries = run_five_systems(&spec, &cfg, move |seed| {
-            Box::new(icash_workloads::MixedWorkload::new(
-                spec_clone.clone(),
-                seed,
-            ))
-        });
-        assert_eq!(summaries.len(), 5);
-        let names: Vec<&str> = summaries.iter().map(|s| s.system.as_str()).collect();
+        let cells = run_sysbench(cfg(2_000, 8), false);
+        let names: Vec<&str> = cells.iter().map(|(s, _)| s.system.as_str()).collect();
         assert_eq!(names, vec!["FusionIO", "RAID0", "Dedup", "LRU", "I-CASH"]);
-        for s in &summaries {
+        for (s, text) in &cells {
             assert_eq!(s.ops, 2_000);
             assert!(s.elapsed.as_ns() > 0, "{} did not advance time", s.system);
             assert!(s.wall_ns > 0, "{} cell was not wall-timed", s.system);
+            assert!(text.is_none(), "{} was traced", s.system);
         }
     }
 
     #[test]
     fn five_systems_run_sharded() {
-        let mut spec = sysbench::spec();
-        spec.data_bytes = 32 << 20;
-        spec.ssd_bytes = 4 << 20;
-        spec.ram_bytes = 1 << 20;
-        let cfg = ExperimentConfig {
-            ops: 1_000,
-            clients: 4,
-            seed: 7,
-            group_commit_depth: 1,
-            flush_ticket: false,
-            shards: 4,
-            health: None,
-            queue: None,
-            scenario: None,
-        };
-        let spec_clone = spec.clone();
-        let summaries = run_five_systems(&spec, &cfg, move |seed| {
-            Box::new(icash_workloads::MixedWorkload::new(
-                spec_clone.clone(),
-                seed,
-            ))
-        });
-        assert_eq!(summaries.len(), 5);
-        for s in &summaries {
+        let cells = run_sysbench(
+            ExperimentConfig {
+                shards: 4,
+                ..cfg(1_000, 4)
+            },
+            false,
+        );
+        assert_eq!(cells.len(), 5);
+        for (s, _) in &cells {
             assert_eq!(s.ops, 1_000);
             assert!(s.elapsed.as_ns() > 0, "{} did not advance time", s.system);
         }
@@ -817,29 +684,25 @@ mod tests {
         // Every scenario takes the same cell path as the plain closed loop,
         // so `flush_ticket` syncs after the measured run and the barrier
         // shows up in the cell's trace.
-        let mut spec = sysbench::spec();
-        spec.data_bytes = 32 << 20;
-        spec.ssd_bytes = 4 << 20;
-        spec.ram_bytes = 1 << 20;
         for kind in ScenarioKind::ALL {
-            let mut cfg = ExperimentConfig::quick(&spec);
-            cfg.ops = 300;
-            cfg.flush_ticket = true;
-            cfg.scenario = Some(ScenarioSpec {
-                kind,
-                arrival: icash_workloads::scenario::ArrivalShape::Burst,
-            });
-            let spec_clone = spec.clone();
-            let cells = run_five_systems_traced(&spec, &cfg, move |seed| {
-                Box::new(icash_workloads::MixedWorkload::new(
-                    spec_clone.clone(),
-                    seed,
-                ))
-            });
+            let cells = run_sysbench(
+                ExperimentConfig {
+                    flush_ticket: true,
+                    scenario: Some(ScenarioSpec {
+                        kind,
+                        arrival: icash_workloads::scenario::ArrivalShape::Burst,
+                    }),
+                    ops: 300,
+                    ..ExperimentConfig::quick(&sysbench::spec())
+                },
+                true,
+            );
             let (summary, text) = cells.last().expect("five cells");
             assert_eq!(summary.system, "I-CASH");
             assert!(
-                text.contains("\"kind\":\"barrier\""),
+                text.as_deref()
+                    .expect("traced run")
+                    .contains("\"kind\":\"barrier\""),
                 "{kind:?} cell skipped the post-run barrier"
             );
         }

@@ -1,16 +1,17 @@
 //! # icash-bench — the harness that regenerates the paper's evaluation
 //!
-//! One binary per exhibit (`fig06_sysbench` … `tab06_ssd_writes`), plus
-//! `run_all` which regenerates everything for EXPERIMENTS.md. This library
-//! holds the shared machinery: building the five storage systems the paper
-//! compares (§4.4), replaying one recorded trace against each, and
-//! formatting the paper-style figures.
+//! `run_all` regenerates every figure and table for EXPERIMENTS.md
+//! (`--only fig13` … picks exhibits); the campaign and ablation binaries
+//! sit beside it. This library holds the shared machinery: the exhibit
+//! table, building the five storage systems the paper compares (§4.4),
+//! and replaying one recorded trace against each.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cli;
+pub mod exhibits;
 pub mod harness;
 pub mod scale;
 
-pub use harness::{run_five_systems, ExperimentConfig, SystemKind};
+pub use harness::{ExperimentConfig, SystemKind};

@@ -219,7 +219,10 @@ if [[ "${1:-}" == "scenarios" ]]; then
   grep -q "Open-loop queued" target/trace_profile_burst.txt
   ./target/release/trace_profile target/run_all_trace_scenoff.jsonl \
     > target/trace_profile_scenoff.txt
-  ! grep -q "Open-loop" target/trace_profile_scenoff.txt
+  if grep -q "Open-loop" target/trace_profile_scenoff.txt; then
+    echo "closed-loop trace_profile reports open-loop queueing" >&2
+    exit 1
+  fi
   echo "SCENARIOS OK"
   exit 0
 fi

@@ -5,7 +5,7 @@
 //! across the content regimes the evaluation generates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use icash_delta::codec::{ChunkIndex, DeltaCodec};
+use icash_delta::codec::{sparse, ChunkIndex, DeltaCodec};
 use icash_delta::signature::BlockSignature;
 use icash_storage::block::BlockBuf;
 use std::hint::black_box;
@@ -37,6 +37,33 @@ fn shifted_pair() -> (Vec<u8>, Vec<u8>) {
     let a = patterned(4096);
     let mut b = vec![0xEEu8; 24];
     b.extend_from_slice(&a[..4072]);
+    (a, b)
+}
+
+/// Xorshift noise: content that shares nothing with any reference.
+fn unique(n: usize) -> Vec<u8> {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state & 0xff) as u8
+        })
+        .collect()
+}
+
+/// The reference with ~40 % of its bytes rewritten, scattered in short
+/// spans, so the sparse encoding exceeds 512 bytes and the chunk scan runs.
+fn dense_in_place_pair() -> (Vec<u8>, Vec<u8>) {
+    let a = patterned(4096);
+    let mut b = a.clone();
+    let noise = unique(4096);
+    for start in (0..4096).step_by(20) {
+        for i in start..(start + 8).min(4096) {
+            b[i] = b[i].wrapping_add(noise[i] | 1);
+        }
+    }
     (a, b)
 }
 
@@ -111,6 +138,25 @@ fn bench_codec(c: &mut Criterion) {
             d
         })
     });
+
+    // The two write-path encodes the controller runs most, each through a
+    // warm cached index as `Icash` holds it. An independent write encodes
+    // unique content against the all-zero pseudo-reference (the
+    // pressure-hdd write); an in-place rewrite with dense scattered changes
+    // is too big for the sparse codec alone (the SPECsfs write).
+    for (name, (a, b)) in [
+        ("zero_reference_unique", (vec![0u8; 4096], unique(4096))),
+        ("dense_in_place", dense_in_place_pair()),
+    ] {
+        assert!(
+            sparse::encode(&a, &b).len() > 512,
+            "{name}: the sparse encoding alone must not be good enough"
+        );
+        let mut index = Some(ChunkIndex::build(&a));
+        group.bench_function(format!("encode_{name}"), |bench| {
+            bench.iter(|| codec.encode_cached(black_box(&a), black_box(&b), &mut index))
+        });
+    }
 
     group.bench_function("encode_roundtrip_batch64", |bench| {
         // A flush-sized batch: 64 similar blocks encoded back to back.

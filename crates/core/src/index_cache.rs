@@ -27,28 +27,21 @@
 //!   dedicated entry and never invalidated.
 //! * A crash loses the cache with the rest of RAM; recovery starts cold.
 //!
-//! Capacity is bounded; eviction drops the least-recently-touched slot
-//! (deterministic: ties break on the lower slot number, and the tick
-//! counter is per-controller, so `ICASH_THREADS` fan-out cannot reorder
-//! it).
+//! Capacity is bounded; eviction drops the least-recently-touched slot.
+//! Recency lives in the workspace [`LruMap`], which is per-controller, so
+//! `ICASH_THREADS` fan-out cannot reorder it.
 
 use icash_delta::codec::ChunkIndex;
-use std::collections::HashMap;
+use icash_storage::lru::LruMap;
 
 /// Bounded cache of per-slot chunk indexes plus the zero-reference index.
 #[derive(Debug)]
 pub(crate) struct RefIndexCache {
-    slots: HashMap<u64, Entry>,
+    /// Per-slot indexes; `None` until an encode actually needs the chunk
+    /// codec.
+    slots: LruMap<u64, Option<ChunkIndex>>,
     zero: Option<ChunkIndex>,
-    tick: u64,
     capacity: usize,
-}
-
-#[derive(Debug)]
-struct Entry {
-    /// `None` until an encode actually needs the chunk codec.
-    index: Option<ChunkIndex>,
-    last_used: u64,
 }
 
 impl RefIndexCache {
@@ -56,9 +49,8 @@ impl RefIndexCache {
     /// entry is separate and permanent).
     pub(crate) fn new(capacity: usize) -> Self {
         RefIndexCache {
-            slots: HashMap::new(),
+            slots: LruMap::new(),
             zero: None,
-            tick: 0,
             capacity: capacity.max(1),
         }
     }
@@ -66,26 +58,13 @@ impl RefIndexCache {
     /// The (lazily built) index slot for SSD slot `slot`, creating a cold
     /// entry — and evicting the least-recently-used one if full — first.
     pub(crate) fn slot_entry(&mut self, slot: u64) -> &mut Option<ChunkIndex> {
-        self.tick += 1;
-        let tick = self.tick;
-        if !self.slots.contains_key(&slot) && self.slots.len() >= self.capacity {
-            // Deterministic LRU eviction: oldest tick, lowest slot on ties.
-            if let Some(victim) = self
-                .slots
-                .iter()
-                .map(|(&s, e)| (e.last_used, s))
-                .min()
-                .map(|(_, s)| s)
-            {
-                self.slots.remove(&victim);
+        if !self.slots.contains(&slot) {
+            if self.slots.len() >= self.capacity {
+                self.slots.pop_lru();
             }
+            self.slots.insert(slot, None);
         }
-        let entry = self.slots.entry(slot).or_insert(Entry {
-            index: None,
-            last_used: tick,
-        });
-        entry.last_used = tick;
-        &mut entry.index
+        self.slots.get_mut(&slot).expect("entry inserted above")
     }
 
     /// The (lazily built) index slot for the all-zero reference block.
@@ -108,7 +87,10 @@ impl RefIndexCache {
     /// Number of slot entries with a *built* index (tests).
     #[cfg(test)]
     pub(crate) fn built_indexes(&self) -> usize {
-        self.slots.values().filter(|e| e.index.is_some()).count()
+        self.slots
+            .iter()
+            .filter(|(_, index)| index.is_some())
+            .count()
     }
 }
 

@@ -516,76 +516,6 @@ impl Icash {
         Some(slot)
     }
 
-    /// Demotes an unwritten reference with no associates: its content moves
-    /// to the HDD home area and the SSD slot is reclaimed. Not part of the
-    /// steady-state policy (promote simply stops when flash fills — see
-    /// `promote`), but exposed for slot-reclamation experiments.
-    #[allow(dead_code)]
-    pub(crate) fn demote(&mut self, id: VbId, now: Ns) -> bool {
-        let (lba, slot, sig) = {
-            let vb = self.table.get(id);
-            if vb.role != Role::Reference
-                || vb.dependants > 0
-                || vb.delta.is_some()
-                || vb.log_loc.is_some()
-            {
-                return false;
-            }
-            (vb.lba, vb.ssd_slot.expect("reference without slot"), vb.sig)
-        };
-        let content = self.ssd_discard(slot).expect("slot content");
-        let pos = self.home_pos(lba);
-        let _ = self.hdd_write_retry(now, pos, 1);
-        self.home_overlay.insert(lba, content);
-        self.array.ssd_mut().trim(slot);
-        self.free_slots.push(slot);
-        self.slot_dir.remove(&lba);
-        self.ref_index.remove(lba, &sig);
-        self.table.set_role(id, Role::Independent);
-        let vb = self.table.get_mut(id);
-        vb.ssd_slot = None;
-        vb.dirty_data = false;
-        self.stats.ref_demotions += 1;
-        true
-    }
-
-    /// Frees SSD slots by demoting idle references and spilling evicted
-    /// SSD-resident blocks to the home area. See `demote` on why the
-    /// default policy does not call this.
-    #[allow(dead_code)]
-    pub(crate) fn reclaim_slots(&mut self, now: Ns, _ctx: &mut IoCtx<'_>) {
-        let mut reclaimed = 0usize;
-        // Idle references first (LRU tail).
-        for id in self.table.tail_ids(4_096) {
-            if reclaimed >= 8 {
-                return;
-            }
-            if self.demote(id, now) {
-                reclaimed += 1;
-            }
-        }
-        // Then evicted direct-written blocks.
-        let spill: Vec<(Lba, u64)> = self
-            .evicted
-            .iter()
-            .filter_map(|(lba, st)| match st {
-                EvictedState::InSsd(slot) => Some((*lba, *slot)),
-                _ => None,
-            })
-            .take(8 - reclaimed.min(8))
-            .collect();
-        for (lba, slot) in spill {
-            let content = self.ssd_discard(slot).expect("slot content");
-            let pos = self.home_pos(lba);
-            let _ = self.hdd_write_retry(now, pos, 1);
-            self.home_overlay.insert(lba, content);
-            self.array.ssd_mut().trim(slot);
-            self.free_slots.push(slot);
-            self.slot_dir.remove(&lba);
-            self.evicted.remove(&lba);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Replacement policies (paper §4.3)
     // ------------------------------------------------------------------
@@ -634,10 +564,17 @@ impl Icash {
         // Pass A1: clean data blocks first — they are 4 KB each and cheap
         // to reconstruct (reference + resident delta), while a delta costs
         // a mechanical log fetch to get back.
-        for id in self.table.tail_ids(usize::MAX) {
+        //
+        // Every pass walks the LRU in place, tail to head. No loop body
+        // reorders the list (`drop_data`, `drop_delta`, `flush_all` and
+        // `write_home` never touch it), so each walk visits exactly the
+        // order a snapshot taken at its start would.
+        let mut cursor = self.table.lru_tail();
+        while let Some(id) = cursor {
             if self.pool.available() >= goal {
                 return true;
             }
+            cursor = self.table.newer(id);
             if id == protect {
                 continue;
             }
@@ -648,10 +585,12 @@ impl Icash {
         }
         // Pass A2: only if data alone was not enough, drop clean logged
         // deltas.
-        for id in self.table.tail_ids(usize::MAX) {
+        let mut cursor = self.table.lru_tail();
+        while let Some(id) = cursor {
             if self.pool.available() >= goal {
                 return true;
             }
+            cursor = self.table.newer(id);
             if id == protect {
                 continue;
             }
@@ -672,10 +611,12 @@ impl Icash {
         // not hold deltas staged past the configured depth.
         self.flush_all(at, ctx);
         let mut spills: Vec<VbId> = Vec::new();
-        for id in self.table.tail_ids(usize::MAX) {
+        let mut cursor = self.table.lru_tail();
+        while let Some(id) = cursor {
             if self.pool.available() + spills.len() * BLOCK_SIZE >= goal {
                 break;
             }
+            cursor = self.table.newer(id);
             if id == protect {
                 continue;
             }
@@ -711,11 +652,17 @@ impl Icash {
         }
         let mut evicted = 0usize;
         let mut flushed = false;
-        let candidates = self.table.tail_ids(8_192);
-        for id in candidates {
-            if evicted >= 64 {
+        // An in-place walk from the LRU tail, capped at 8,192 visits. The
+        // cursor moves on before `table.remove(id)` unlinks `id`; nothing
+        // else in the body reorders the list.
+        let mut cursor = self.table.lru_tail();
+        let mut visits = 0usize;
+        while let Some(id) = cursor {
+            if evicted >= 64 || visits == 8_192 {
                 break;
             }
+            visits += 1;
+            cursor = self.table.newer(id);
             let vb = self.table.get(id);
             if !vb.evictable() {
                 continue;

@@ -189,10 +189,16 @@ impl BlockTable {
         self.lru.iter_front().take(cap).map(VbId).collect()
     }
 
-    /// Handles from least recently used to most, up to `limit`.
-    pub fn tail_ids(&self, limit: usize) -> Vec<VbId> {
-        let cap = limit.min(self.lru.len());
-        self.lru.iter_tail().take(cap).map(VbId).collect()
+    /// The least recently used handle: where an in-place walk toward the
+    /// head starts.
+    pub fn lru_tail(&self) -> Option<VbId> {
+        self.lru.tail().map(VbId)
+    }
+
+    /// The handle one step more recently used than `id`, or `None` at the
+    /// head. A walk that removes `id` must read this first.
+    pub fn newer(&self, id: VbId) -> Option<VbId> {
+        self.lru.newer(id.0).map(VbId)
     }
 
     /// Asserts internal consistency (tests/debugging).
@@ -272,13 +278,32 @@ mod tests {
             .map(|id| t.get(id).lba.raw())
             .collect();
         assert_eq!(head, vec![1, 3, 2]);
-        let tail: Vec<u64> = t
-            .tail_ids(2)
-            .into_iter()
+        let tail: Vec<u64> = std::iter::successors(t.lru_tail(), |&id| t.newer(id))
             .map(|id| t.get(id).lba.raw())
             .collect();
-        assert_eq!(tail, vec![2, 3]);
+        assert_eq!(tail, vec![2, 3, 1]);
         let _ = (b, c);
+    }
+
+    #[test]
+    fn walk_survives_removing_the_current_block() {
+        let mut t = BlockTable::new();
+        let ids: Vec<VbId> = (1..=5).map(|lba| t.insert(vb(lba))).collect();
+        // Remove every odd LBA mid-walk, reading `newer` first.
+        let mut seen = Vec::new();
+        let mut cursor = t.lru_tail();
+        while let Some(id) = cursor {
+            cursor = t.newer(id);
+            let lba = t.get(id).lba.raw();
+            seen.push(lba);
+            if lba % 2 == 1 {
+                t.remove(id);
+            }
+        }
+        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
+        assert_eq!(t.head_ids(5), vec![ids[3], ids[1]]);
+        assert_eq!(t.newer(ids[0]), None, "a removed block has no neighbour");
+        t.validate();
     }
 
     #[test]

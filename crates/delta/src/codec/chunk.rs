@@ -11,13 +11,16 @@
 //! The target scan carries a true rolling hash: advancing one byte after a
 //! miss costs two multiplies, not a [`WINDOW`]-byte recomputation, and the
 //! hash is re-primed from scratch only after a COPY jumps the cursor.
-//! Verified matches extend word-at-a-time. Output is byte-identical to the
+//! Verified matches extend word-at-a-time. Against a reference that is one
+//! repeated byte (the all-zero pseudo-reference) the scan skips hashing and
+//! looks for runs of that byte instead. Output is byte-identical to the
 //! original scalar encoder (pinned by `tests/golden.rs`).
 //!
 //! Wire format, repeated until the target is covered:
 //! `0x00 varint(len) bytes…` (ADD) | `0x01 varint(offset) varint(len)` (COPY).
 
 use crate::codec::chunk_index::{roll, window_hash, ChunkIndex, WINDOW};
+use crate::codec::scan::{common_prefix_len, find_byte};
 use crate::varint::{self, Reader};
 
 /// Minimum match length worth a COPY instruction (a COPY costs ~4 bytes).
@@ -47,48 +50,99 @@ pub fn encode_with_index(index: &ChunkIndex, reference: &[u8], target: &[u8]) ->
         "chunk index was built over a different reference"
     );
     let mut out = Vec::new();
-    let mut pending_add_start = 0usize;
-
-    let flush_add = |out: &mut Vec<u8>, start: usize, end: usize| {
-        if end > start {
-            out.push(OP_ADD);
-            varint::encode((end - start) as u64, out);
-            out.extend_from_slice(&target[start..end]);
-        }
+    let pending_add_start = match index.uniform_byte() {
+        Some(byte) => copy_runs(byte, reference, target, &mut out),
+        None => copy_hashed(index, reference, target, &mut out),
     };
+    push_add(&mut out, &target[pending_add_start..]);
+    out
+}
 
+fn push_add(out: &mut Vec<u8>, bytes: &[u8]) {
+    if !bytes.is_empty() {
+        out.push(OP_ADD);
+        varint::encode(bytes.len() as u64, out);
+        out.extend_from_slice(bytes);
+    }
+}
+
+fn push_copy(out: &mut Vec<u8>, off: usize, len: usize) {
+    out.push(OP_COPY);
+    varint::encode(off as u64, out);
+    varint::encode(len as u64, out);
+}
+
+/// The rolling-hash scan: emits every COPY (and the ADD before it) for
+/// `target`, returning where the trailing ADD starts.
+fn copy_hashed(index: &ChunkIndex, reference: &[u8], target: &[u8], out: &mut Vec<u8>) -> usize {
     let n = target.len();
-    if n >= WINDOW {
-        let mut i = 0usize;
-        // Invariant: `h` is the hash of `target[i..i + WINDOW]`.
-        let mut h = window_hash(&target[..WINDOW]);
-        loop {
-            match index.best_match(reference, target, i, h) {
-                Some((off, len)) if len >= MIN_MATCH => {
-                    flush_add(&mut out, pending_add_start, i);
-                    out.push(OP_COPY);
-                    varint::encode(off as u64, &mut out);
-                    varint::encode(len as u64, &mut out);
-                    i += len;
-                    pending_add_start = i;
-                    if i + WINDOW > n {
-                        break;
-                    }
-                    // The cursor jumped; re-prime the rolling hash.
-                    h = window_hash(&target[i..i + WINDOW]);
+    let mut pending_add_start = 0usize;
+    if n < WINDOW {
+        return pending_add_start;
+    }
+    let mut i = 0usize;
+    // Invariant: `h` is the hash of `target[i..i + WINDOW]`.
+    let mut h = window_hash(&target[..WINDOW]);
+    loop {
+        match index.best_match(reference, target, i, h) {
+            Some((off, len)) if len >= MIN_MATCH => {
+                push_add(out, &target[pending_add_start..i]);
+                push_copy(out, off, len);
+                i += len;
+                pending_add_start = i;
+                if i + WINDOW > n {
+                    break;
                 }
-                _ => {
-                    if i + 1 + WINDOW > n {
-                        break;
-                    }
-                    h = roll(h, target[i], target[i + WINDOW]);
-                    i += 1;
+                // The cursor jumped; re-prime the rolling hash.
+                h = window_hash(&target[i..i + WINDOW]);
+            }
+            _ => {
+                if i + 1 + WINDOW > n {
+                    break;
                 }
+                h = roll(h, target[i], target[i + WINDOW]);
+                i += 1;
             }
         }
     }
-    flush_add(&mut out, pending_add_start, n);
-    out
+    pending_add_start
+}
+
+/// [`copy_hashed`] for a reference that is `reference.len() >= WINDOW`
+/// copies of `byte`, without hashing a single target window.
+///
+/// Exactness: every reference window is `[byte; WINDOW]`, so the hashed
+/// scan verifies a candidate at target position `i` iff
+/// `target[i..i + WINDOW]` is all `byte` (a hash collision fails
+/// verification). Each candidate `c` then extends to
+/// `min(run, ref_len - c)`, where `run` is the length of the run of `byte`
+/// starting at `i`; the earliest candidate, offset 0, extends furthest and
+/// wins ties, so the best match is `(0, min(run, ref_len))`. The scan emits
+/// that COPY iff its length is at least [`MIN_MATCH`]. Otherwise it
+/// advances one byte, to a position whose run is one byte shorter, which
+/// cannot qualify either — so a run whose `min(run, ref_len)` falls short
+/// is skipped whole. A COPY capped at `ref_len` leaves the cursor inside
+/// the run, and the rest of the run is judged afresh. Positions with fewer
+/// than [`MIN_MATCH`] bytes left can never start a COPY.
+/// `common_prefix_len(reference, &target[p..])` is `min(run, ref_len)`.
+fn copy_runs(byte: u8, reference: &[u8], target: &[u8], out: &mut Vec<u8>) -> usize {
+    let n = target.len();
+    let mut pending_add_start = 0usize;
+    let mut i = 0usize;
+    while i + MIN_MATCH <= n {
+        let p = find_byte(target, byte, i);
+        if p + MIN_MATCH > n {
+            break;
+        }
+        let len = common_prefix_len(reference, &target[p..]);
+        if len >= MIN_MATCH {
+            push_add(out, &target[pending_add_start..p]);
+            push_copy(out, 0, len);
+            pending_add_start = p + len;
+        }
+        i = p + len;
+    }
+    pending_add_start
 }
 
 /// Reconstructs the target from `reference` and an encoding produced by

@@ -113,6 +113,11 @@ pub struct ChunkIndex {
     entries: Vec<Entry>,
     /// Length of the indexed reference, for cache-coherence checks.
     ref_len: usize,
+    /// `Some(b)` when the reference is at least [`WINDOW`] bytes of the
+    /// single repeated byte `b` (the all-zero pseudo-reference, a zeroed
+    /// SSD slot): its index then holds one distinct window, and
+    /// `chunk::encode_with_index` matches runs of `b` without hashing.
+    uniform: Option<u8>,
 }
 
 impl ChunkIndex {
@@ -130,6 +135,7 @@ impl ChunkIndex {
             mask: capacity - 1,
             entries: Vec::with_capacity(windows.min(1024)),
             ref_len: reference.len(),
+            uniform: None,
         };
         if reference.len() >= WINDOW {
             let mut h = window_hash(&reference[..WINDOW]);
@@ -144,8 +150,16 @@ impl ChunkIndex {
                 h = roll(h, reference[pos], reference[pos + WINDOW]);
                 pos += 1;
             }
+            index.uniform = Some(reference[0]).filter(|&b| reference.iter().all(|&x| x == b));
         }
         index
+    }
+
+    /// The repeated byte, if the indexed reference is at least [`WINDOW`]
+    /// bytes of one value.
+    #[inline]
+    pub(crate) fn uniform_byte(&self) -> Option<u8> {
+        self.uniform
     }
 
     /// Length of the reference this index was built over.
@@ -299,6 +313,16 @@ mod tests {
         let index = ChunkIndex::build(&[1, 2, 3]);
         assert_eq!(index.ref_len(), 3);
         assert!(index.candidates(window_hash(&[0u8; WINDOW])).is_empty());
+        assert_eq!(index.uniform_byte(), None, "too short to hold a window");
+    }
+
+    #[test]
+    fn uniform_references_are_recognised() {
+        assert_eq!(ChunkIndex::build(&[0u8; 4096]).uniform_byte(), Some(0));
+        assert_eq!(ChunkIndex::build(&[9u8; WINDOW]).uniform_byte(), Some(9));
+        let mut almost = vec![0u8; 4096];
+        almost[4095] = 1;
+        assert_eq!(ChunkIndex::build(&almost).uniform_byte(), None);
     }
 
     #[test]

@@ -42,6 +42,9 @@ pub(crate) fn mismatch_from(a: &[u8], b: &[u8], from: usize) -> usize {
     from + common_prefix_len(&a[from..], &b[from..])
 }
 
+const LOW_ONES: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
 /// First index `>= from` where `a` and `b` agree, or `n` if they differ to
 /// the end. `a` and `b` must have equal length.
 ///
@@ -54,8 +57,6 @@ pub(crate) fn mismatch_from(a: &[u8], b: &[u8], from: usize) -> usize {
 #[inline]
 pub(crate) fn match_from(a: &[u8], b: &[u8], from: usize) -> usize {
     debug_assert_eq!(a.len(), b.len());
-    const LOW_ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
     let n = a.len();
     let mut i = from;
     while i + 8 <= n {
@@ -69,6 +70,29 @@ pub(crate) fn match_from(a: &[u8], b: &[u8], from: usize) -> usize {
         i += 8;
     }
     while i < n && a[i] != b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// First index `>= from` where `s[i] == byte`, or `s.len()` if none.
+///
+/// The same SWAR zero-byte test as [`match_from`], against `byte` splatted
+/// across a word instead of a second slice.
+#[inline]
+pub(crate) fn find_byte(s: &[u8], byte: u8, from: usize) -> usize {
+    let splat = u64::from_le_bytes([byte; 8]);
+    let n = s.len();
+    let mut i = from;
+    while i + 8 <= n {
+        let x = u64::from_le_bytes(s[i..i + 8].try_into().expect("8-byte window")) ^ splat;
+        let zeros = x.wrapping_sub(LOW_ONES) & !x & HIGH_BITS;
+        if zeros != 0 {
+            return i + (zeros.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < n && s[i] != byte {
         i += 1;
     }
     i
@@ -145,6 +169,30 @@ mod tests {
         let b = vec![0x00u8, 0x80, 0x01, 0x80, 0x42, 0x01, 0x80, 0x00, 0x98];
         assert_eq!(match_from(&a, &b, 0), naive_match_from(&a, &b, 0));
         assert_eq!(match_from(&a, &b, 0), 4);
+    }
+
+    #[test]
+    fn find_byte_matches_naive() {
+        // The target byte at every position of a 40-byte buffer, with SWAR
+        // false-positive neighbours (0x80/0x01 lanes) around it.
+        for byte in [0x00u8, 0x01, 0x80, 0xFF] {
+            let filler: Vec<u8> = (0..40)
+                .map(|i| [0x80u8, 0x01, 0x7F, 0xFE][i % 4] ^ byte ^ 0x55)
+                .collect();
+            for at in 0..40 {
+                let mut s = filler.clone();
+                s[at] = byte;
+                for from in [0, at.saturating_sub(3), at, (at + 1).min(40)] {
+                    let want = (from..40).find(|&i| s[i] == byte).unwrap_or(40);
+                    assert_eq!(
+                        find_byte(&s, byte, from),
+                        want,
+                        "byte {byte:#x} at {at} from {from}"
+                    );
+                }
+            }
+            assert_eq!(find_byte(&filler, byte, 0), 40);
+        }
     }
 
     #[test]

@@ -165,3 +165,28 @@ fn sparse_codec_vector_standalone() {
     b[3000] ^= 1;
     assert_eq!(hex(&sparse::encode(&a, &b)), "0a0136ad1701f5");
 }
+
+#[test]
+fn chunk_zero_reference_vector() {
+    // Against the all-zero pseudo-reference every COPY is `COPY(0, run)`:
+    // zero runs of at least 24 bytes become COPYs (the 100-byte lead, the
+    // 62- and 792-byte gaps, the 3864-byte stretch), while the 22-byte gap
+    // and the 8-byte tail stay inside ADDs.
+    let a = vec![0u8; 4096];
+    let mut b = vec![0u8; 4096];
+    for island in [100usize, 130, 200, 1000, 4080] {
+        for (i, byte) in b[island..island + 8].iter_mut().enumerate() {
+            *byte = 0x11 * (i as u8 + 1);
+        }
+    }
+    let index = ChunkIndex::build(&a);
+    let d = chunk::encode_with_index(&index, &a, &b);
+    assert_eq!(
+        hex(&d),
+        "0100640026112233445566778800000000000000000000000000000000000000\
+         000000112233445566778801003e000811223344556677880100980600081122\
+         33445566778801008018001011223344556677880000000000000000"
+    );
+    assert_eq!(d, chunk::encode(&a, &b));
+    assert_eq!(chunk::decode(&a, &d).unwrap(), b);
+}

@@ -99,6 +99,13 @@ impl LruList {
         (self.tail != NONE).then_some(self.tail)
     }
 
+    /// The entry one step more recent than `idx` (toward the front), or
+    /// `None` if `idx` is the front or not listed.
+    pub fn newer(&self, idx: usize) -> Option<usize> {
+        let p = *self.prev.get(idx)?;
+        (p != NONE).then_some(p)
+    }
+
     /// Inserts `idx` at the front (most recent).
     ///
     /// # Panics
@@ -407,6 +414,17 @@ mod tests {
         assert_eq!(l.iter_front().collect::<Vec<_>>(), vec![3, 2, 1, 0]);
         assert_eq!(l.iter_tail().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         assert_eq!(l.len(), 4);
+    }
+
+    #[test]
+    fn newer_walks_like_iter_tail() {
+        let mut l = filled(5);
+        l.touch(1);
+        let walked: Vec<usize> = std::iter::successors(l.tail(), |&i| l.newer(i)).collect();
+        assert_eq!(walked, l.iter_tail().collect::<Vec<_>>());
+        l.remove(3);
+        assert_eq!(l.newer(3), None, "an unlisted entry has no neighbour");
+        assert_eq!(l.newer(99), None, "nor does one never grown");
     }
 
     #[test]
